@@ -4,14 +4,14 @@
 // campaigns plus a large benign tail, the shape that makes the coarse
 // stage (tokenize -> tf-idf -> top phrases -> graph) the bottleneck —
 // once through the single-threaded reference path
-// (CoarseOptions::use_serial_coarse) and then through the sharded
-// parallel path at 1/2/4/8 threads. Every parallel run MUST produce a
+// (CoarseOptions::use_serial_coarse) and then through the parallel
+// path at 1/2/4/8 threads. Every parallel run MUST produce a
 // result identical to the serial reference (clusters, singletons,
 // per-document top phrases, edge count); any disagreement exits
 // non-zero so CI fails. Emits BENCH_coarse.json with per-phase timings
 // (tokenize/index/top-phrase/graph/components) for every configuration
-// plus shard-contention counters and the 4-thread speedup, giving the
-// repo a tracked trajectory for this path.
+// plus the 4-thread speedup, giving the repo a tracked trajectory for
+// this path.
 //
 // On single-core runners the speedup reported is honest (~1x or below);
 // the benchmark gates only on divergence, never on speedup.
@@ -96,8 +96,6 @@ RunOutcome RunConfig(const std::vector<std::string>& texts, size_t threads,
     if (first || result.stats.components_seconds < best.components_seconds) {
       best.components_seconds = result.stats.components_seconds;
     }
-    best.shard_flushes = result.stats.shard_flushes;
-    best.shard_contended = result.stats.shard_contended;
     best.parallel_threads = result.stats.parallel_threads;
     if (first) {
       out.result = std::move(result);
@@ -122,8 +120,6 @@ void WriteRun(JsonWriter& w, const RunOutcome& r) {
   w.Key("graph_seconds").Double(r.best.graph_seconds);
   w.Key("components_seconds").Double(r.best.components_seconds);
   w.Key("total_seconds").Double(TotalSeconds(r.best));
-  w.Key("shard_flushes").Int(static_cast<int64_t>(r.best.shard_flushes));
-  w.Key("shard_contended").Int(static_cast<int64_t>(r.best.shard_contended));
   w.Key("num_clusters").Int(static_cast<int64_t>(r.result.clusters.size()));
   w.Key("num_edges").Int(static_cast<int64_t>(r.result.num_edges));
   w.EndObject();
@@ -168,11 +164,10 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "threads=%zu: total %.3fs  (tok %.3f  idx %.3f  top %.3f  "
-        "graph %.3f  comp %.3f)  contended %zu/%zu flushes\n",
+        "graph %.3f  comp %.3f)\n",
         threads, TotalSeconds(run.best), run.best.tokenize_seconds,
         run.best.index_seconds, run.best.top_phrase_seconds,
-        run.best.graph_seconds, run.best.components_seconds,
-        run.best.shard_contended, run.best.shard_flushes);
+        run.best.graph_seconds, run.best.components_seconds);
     if (threads == 4 && TotalSeconds(run.best) > 0.0) {
       speedup4 = TotalSeconds(serial.best) / TotalSeconds(run.best);
     }

@@ -1,11 +1,11 @@
 // Harness (e2): differential fuzzing of the coarse stage.
 //
-// The sharded parallel coarse pipeline (ShardedPhraseCounter, per-chunk
-// top-phrase fan-out, canonical edge replay) must be byte-identical to
-// the serial reference at every thread count. This harness decodes fuzz
-// bytes into a synthetic corpus, runs the coarse stage serially and with
-// 1 and 4 worker threads, and asserts identical clusters, singletons,
-// per-document top phrases, and edge counts.
+// The parallel coarse pipeline (one sorted df run per thread merged in
+// hash order, per-chunk top-phrase fan-out, canonical edge replay) must
+// be byte-identical to the serial reference at every thread count. This
+// harness decodes fuzz bytes into a synthetic corpus, runs the coarse
+// stage serially and with 1 and 4 worker threads, and asserts identical
+// clusters, singletons, per-document top phrases, and edge counts.
 
 #include <cstdint>
 #include <string>

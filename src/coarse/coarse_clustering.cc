@@ -108,8 +108,6 @@ CoarseResult CoarseClustering::RunParallel(const Corpus& corpus,
   TfidfIndex index;
   index.Build(corpus, options_.tfidf, threads);
   result.stats.index_seconds = timer.ElapsedSeconds();
-  result.stats.shard_flushes = index.build_stats().shard_flushes;
-  result.stats.shard_contended = index.build_stats().shard_contended;
   result.stats.parallel_threads = threads;
 
   // Per-document top-phrase selection + edge generation: df is frozen,

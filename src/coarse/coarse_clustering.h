@@ -64,9 +64,9 @@ struct CoarseOptions {
   // pathological inputs without affecting normal runs.
   size_t max_phrase_degree = 0;
   // Worker threads for the coarse pipeline (1 = sequential, 0 = hardware
-  // concurrency). The parallel path shards the tf-idf df accumulation by
-  // PhraseHash, fans per-document top-phrase selection and bipartite-edge
-  // generation across the pool, and replays the collected edges in
+  // concurrency). The parallel path counts the tf-idf df table in one
+  // sorted run per thread, fans per-document top-phrase selection and
+  // bipartite-edge generation across the pool, and replays the collected edges in
   // canonical (document, phrase-rank) order — output is byte-identical
   // to the serial path for any value (DESIGN.md §11).
   size_t num_threads = 1;
@@ -77,7 +77,7 @@ struct CoarseOptions {
   bool use_serial_coarse = false;
 };
 
-// Per-phase wall-clock breakdown and shard diagnostics for one coarse
+// Per-phase wall-clock breakdown and diagnostics for one coarse
 // run. Deliberately not part of the canonical JSON output: the serial
 // and parallel paths must emit byte-identical results while reporting
 // very different timings.
@@ -95,9 +95,6 @@ struct CoarseStageStats {
   double graph_seconds = 0.0;
   // Component extraction and cluster/singleton emission.
   double components_seconds = 0.0;
-  // Sharded df-index merge diagnostics (0 on the serial path).
-  size_t shard_flushes = 0;
-  size_t shard_contended = 0;
   // Worker count the run actually used (1 = serial path ran).
   size_t parallel_threads = 1;
   // MinHash/LSH backend phases and bucket diagnostics (all 0 on the
@@ -134,7 +131,7 @@ struct CoarseResult {
   std::vector<std::vector<PhraseHash>> doc_top_phrases;
   // Bipartite edge count (for diagnostics / scaling studies).
   size_t num_edges = 0;
-  // Per-phase timings + shard counters (never serialized into the
+  // Per-phase timings + backend counters (never serialized into the
   // canonical JSON).
   CoarseStageStats stats;
 };
@@ -199,7 +196,7 @@ class CoarseClustering {
 
   // Dispatches on options().backend: the tf-idf graph backend goes to
   // the serial reference path (use_serial_coarse, or an effective
-  // thread count of 1) or the sharded parallel path; kMinhashLsh goes
+  // thread count of 1) or the parallel path; kMinhashLsh goes
   // to RunLshCoarse (lsh/lsh_coarse.h), forced to one worker under the
   // same use_serial_coarse escape hatch. Every path produces
   // byte-identical results at any thread count (enforced by

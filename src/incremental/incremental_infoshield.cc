@@ -6,7 +6,7 @@
 
 #include "mdl/cost_model.h"
 #include "text/ngram.h"
-#include "tfidf/sharded_counter.h"
+#include "tfidf/df_run.h"
 #include "tfidf/tfidf_index.h"
 #include "util/audit.h"
 #include "util/logging.h"
@@ -62,22 +62,9 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   // folded table equal a from-scratch build over all new_size documents.
   WallTimer timer;
   {
-    ShardedPhraseCounter::Local delta;
-    std::unordered_set<PhraseHash> seen;
-    for (size_t d = old_size; d < new_size; ++d) {
-      seen.clear();
-      for (const NgramSpan& g :
-           ExtractNgrams(corpus_.docs()[d], options_.coarse.tfidf.max_ngram)) {
-        // analyzer: allow(hot-loop-alloc) -- the hoisted `seen` set is
-        // cleared and reused per document; rehashes amortize across the
-        // batch (a per-document reserve target is unknowable).
-        seen.insert(g.hash);
-      }
-      // determinism: commutative integer increments; order cannot matter.
-      for (PhraseHash hash : seen) {
-        delta.Increment(hash);
-      }
-    }
+    DfRun delta =
+        CountDocumentFrequencies(corpus_, old_size, new_size,
+                                 options_.coarse.tfidf.max_ngram, threads);
     df_table_.ApplyBatch(&delta, new_size - old_size);
   }
   const uint64_t generation = df_table_.generation();

@@ -57,9 +57,8 @@ void LshIndex::Build(const std::vector<MinHashSignature>& signatures,
   const size_t num_chunks = std::min(n, threads * 4);
   // Each worker owns a contiguous chunk of documents, accumulates its
   // bucket inserts into a private shard-partitioned buffer, and flushes
-  // each shard under that shard's Mutex exactly once — the
-  // ShardedPhraseCounter discipline, so lock traffic is O(shards) per
-  // chunk instead of O(docs * bands).
+  // each shard under that shard's Mutex exactly once, so lock traffic is
+  // O(shards) per chunk instead of O(docs * bands).
   ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
     const size_t begin = chunk * n / num_chunks;
     const size_t end = (chunk + 1) * n / num_chunks;

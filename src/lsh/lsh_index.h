@@ -11,7 +11,7 @@
 // The index is the queryable side of the coarse backend: Build fans
 // signature bucketing across workers into hash-sharded buckets (shard
 // state GUARDED_BY its Mutex; each worker batches per shard so a flush
-// takes every shard lock at most once, mirroring ShardedPhraseCounter),
+// takes every shard lock at most once),
 // and Query returns the sorted candidate set for a probe signature.
 // Insertion order inside a bucket is scheduling-dependent, so nothing
 // deterministic may be derived from bucket member order — Query sorts,
@@ -57,9 +57,9 @@ std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
 
 class LshIndex {
  public:
-  // Sharded like ShardedPhraseCounter: power of two, selected by the
-  // bucket key's top bits so shard choice stays independent of the
-  // unordered_map's low-bit bucketing.
+  // Sharded like the df snapshot table (DfSnapshot::ShardOf): power of
+  // two, selected by the bucket key's top bits so shard choice stays
+  // independent of the unordered_map's low-bit bucketing.
   static constexpr size_t kNumShards = 64;
 
   static constexpr size_t ShardOf(uint64_t key) {

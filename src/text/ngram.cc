@@ -1,5 +1,7 @@
 #include "text/ngram.h"
 
+#include <algorithm>
+
 namespace infoshield {
 
 PhraseHash HashNgram(const TokenId* tokens, size_t n) {
@@ -18,7 +20,7 @@ std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n) {
   std::vector<NgramSpan> out;
   const size_t len = doc.tokens.size();
   if (len == 0 || max_n == 0) return out;
-  out.reserve(len * max_n);
+  out.reserve(NumNgrams(len, max_n));
   for (size_t begin = 0; begin < len; ++begin) {
     const size_t limit = std::min(max_n, len - begin);
     for (size_t n = 1; n <= limit; ++n) {
@@ -28,6 +30,11 @@ std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n) {
     }
   }
   return out;
+}
+
+size_t NumNgrams(size_t len, size_t max_n) {
+  const size_t k = std::min(max_n, len);
+  return k * (len + 1) - k * (k + 1) / 2;
 }
 
 }  // namespace infoshield

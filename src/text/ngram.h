@@ -32,6 +32,10 @@ struct NgramSpan {
 // All n-grams of lengths 1..max_n in a document, in document order.
 std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n);
 
+// Number of n-grams of lengths 1..max_n in a document of `len` tokens
+// (the size of ExtractNgrams' result).
+size_t NumNgrams(size_t len, size_t max_n);
+
 }  // namespace infoshield
 
 #endif  // INFOSHIELD_TEXT_NGRAM_H_

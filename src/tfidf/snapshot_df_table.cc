@@ -18,8 +18,7 @@ DfSnapshot SnapshotDfTable::Snapshot() const {
   return snap;
 }
 
-void SnapshotDfTable::ApplyBatch(ShardedPhraseCounter::Local* local,
-                                 size_t num_new_documents) {
+void SnapshotDfTable::ApplyBatch(DfRun* delta, size_t num_new_documents) {
   // Copy-on-write fold-in: untouched shards keep their pointer (shared
   // with every live snapshot); touched shards are cloned, updated, and
   // swapped. Readers holding a DfSnapshot keep the old maps alive via
@@ -27,30 +26,34 @@ void SnapshotDfTable::ApplyBatch(ShardedPhraseCounter::Local* local,
   // expected to be serialized by the caller (IncrementalInfoShield runs
   // one ingest at a time); mu_ still makes concurrent ApplyBatch safe,
   // just not fast.
+  const std::vector<PhraseHash>& keys = delta->keys;
   size_t phrase_delta = 0;
   {
     MutexLock lock(&mu_);
-    for (size_t s = 0; s < ShardedPhraseCounter::kNumShards; ++s) {
-      if (local->maps_[s].empty()) continue;
+    // The run is sorted by hash, so each shard's slice is contiguous.
+    for (size_t begin = 0; begin < keys.size();) {
+      const size_t s = DfSnapshot::ShardOf(keys[begin]);
+      size_t end = begin + 1;
+      while (end < keys.size() && DfSnapshot::ShardOf(keys[end]) == s) ++end;
       auto clone = shards_[s] == nullptr
                        ? std::make_shared<ShardMap>()
                        : std::make_shared<ShardMap>(*shards_[s]);
-      // determinism: commutative integer increments; order cannot matter.
-      for (const auto& [hash, count] : local->maps_[s]) {
-        auto [it, inserted] = clone->emplace(hash, count);
+      for (size_t i = begin; i < end; ++i) {
+        auto [it, inserted] = clone->emplace(keys[i], delta->counts[i]);
         if (inserted) {
           ++phrase_delta;
         } else {
-          it->second += count;
+          it->second += delta->counts[i];
         }
       }
       shards_[s] = std::move(clone);
-      local->maps_[s].clear();
+      begin = end;
     }
     num_documents_ += num_new_documents;
     num_phrases_ += phrase_delta;
     ++generation_;
   }
+  *delta = DfRun();
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
@@ -68,18 +71,18 @@ Status SnapshotDfTable::ValidateInvariants() const {
   const DfSnapshot snap = Snapshot();
   audit::Auditor a("SnapshotDfTable");
   size_t total_phrases = 0;
-  for (size_t s = 0; s < ShardedPhraseCounter::kNumShards; ++s) {
+  for (size_t s = 0; s < DfSnapshot::kNumShards; ++s) {
     const DfSnapshot::ShardMap* shard = snap.shards_[s].get();
     if (shard == nullptr) continue;
     total_phrases += shard->size();
     // determinism: validation only; each entry is checked independently.
     for (const auto& [hash, df] : *shard) {
-      if (ShardedPhraseCounter::ShardOf(hash) != s) {
+      if (DfSnapshot::ShardOf(hash) != s) {
         a.Expect(false,
                  StrFormat("phrase %llu stored in shard %zu but hashes to "
                            "shard %zu",
                            static_cast<unsigned long long>(hash), s,
-                           ShardedPhraseCounter::ShardOf(hash)));
+                           DfSnapshot::ShardOf(hash)));
       }
       if (df < 1 || df > snap.num_documents()) {
         a.Expect(false,

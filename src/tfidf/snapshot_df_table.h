@@ -3,19 +3,20 @@
 //
 // The batch pipeline rebuilds its df table from scratch every run. The
 // incremental path instead keeps one long-lived SnapshotDfTable: each
-// IngestBatch accumulates the new documents' per-document-deduplicated
-// phrase counts into a ShardedPhraseCounter::Local (the same delta
-// buffer the parallel coarse build uses) and folds it in with
-// ApplyBatch. Because df accumulation is a commutative integer sum,
-// the folded table is byte-identical to a from-scratch build over the
-// concatenated corpus — that additivity is what makes the incremental
-// path's differential oracle (exact JSON match vs. a fresh batch run)
+// IngestBatch counts the new documents' per-document-deduplicated
+// phrase frequencies into a sorted run (df_run.h, the same counter the
+// batch TfidfIndex::Build uses) and folds it in with ApplyBatch.
+// Because df accumulation is a commutative integer sum, the folded
+// table is byte-identical to a from-scratch build over the concatenated
+// corpus — that additivity is what makes the incremental path's
+// differential oracle (exact JSON match vs. a fresh batch run)
 // attainable at all.
 //
 // Snapshots are structural-sharing copies: the table holds 64 immutable
-// shard maps behind shared_ptr<const ...> (same hash partition as
-// ShardedPhraseCounter), and Snapshot() copies 64 pointers under the
-// mutex. ApplyBatch clones only the shards the batch actually touches
+// shard maps behind shared_ptr<const ...>, partitioned by the hash's top
+// six bits, and Snapshot() copies 64 pointers under the mutex. Because a
+// run is sorted by hash, each shard's share of it is one contiguous
+// slice. ApplyBatch clones only the shards the batch actually touches
 // and swaps the pointers, so a reader holding a DfSnapshot keeps
 // scoring against its frozen generation no matter how many batches land
 // concurrently. Readers never lock; the writer locks only for the
@@ -31,7 +32,7 @@
 #include <unordered_map>
 
 #include "text/ngram.h"
-#include "tfidf/sharded_counter.h"
+#include "tfidf/df_run.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -43,13 +44,22 @@ namespace infoshield {
 // synchronization: the shard maps it points at are never mutated.
 class DfSnapshot {
  public:
+  // Power of two so ShardOf is a shift+mask.
+  static constexpr size_t kNumShards = 64;
+
+  // A phrase's shard: the hash's top bits, so a sorted run splits into
+  // one contiguous slice per shard (and unordered_map buckets, which key
+  // off the low bits, stay independent of the partition).
+  static constexpr size_t ShardOf(PhraseHash hash) {
+    return static_cast<size_t>(hash >> 58) & (kNumShards - 1);
+  }
+
   // A default snapshot is generation 0 of an empty table.
   DfSnapshot() = default;
 
   // Document frequency of a phrase as of this snapshot (0 if unseen).
   size_t DocumentFrequency(PhraseHash phrase) const {
-    const ShardMap* shard =
-        shards_[ShardedPhraseCounter::ShardOf(phrase)].get();
+    const ShardMap* shard = shards_[ShardOf(phrase)].get();
     if (shard == nullptr) return 0;
     auto it = shard->find(phrase);
     return it == shard->end() ? 0 : it->second;
@@ -69,8 +79,7 @@ class DfSnapshot {
 
   using ShardMap = std::unordered_map<PhraseHash, uint32_t>;
 
-  std::array<std::shared_ptr<const ShardMap>, ShardedPhraseCounter::kNumShards>
-      shards_;
+  std::array<std::shared_ptr<const ShardMap>, kNumShards> shards_;
   size_t num_documents_ = 0;
   size_t num_phrases_ = 0;
   uint64_t generation_ = 0;
@@ -87,16 +96,15 @@ class SnapshotDfTable {
   // returned snapshot stays valid (and unchanged) forever.
   DfSnapshot Snapshot() const;
 
-  // Folds a batch's df delta into the table: clones each shard `local`
+  // Folds a batch's df delta into the table: clones each shard `delta`
   // touches, adds the counts, swaps the pointers, advances the
   // generation by one, and adds `num_new_documents` to the document
-  // count. Clears `local`. Existing snapshots are unaffected.
+  // count. Clears `delta`. Existing snapshots are unaffected.
   //
-  // `local` must hold per-document-deduplicated counts (each document
-  // contributes at most 1 per phrase), exactly as the tf-idf build
-  // accumulates them.
-  void ApplyBatch(ShardedPhraseCounter::Local* local,
-                  size_t num_new_documents);
+  // `delta` must hold per-document-deduplicated counts (each document
+  // contributes at most 1 per phrase), as CountDocumentFrequencies
+  // produces them.
+  void ApplyBatch(DfRun* delta, size_t num_new_documents);
 
   size_t num_documents() const;
   uint64_t generation() const;
@@ -112,7 +120,7 @@ class SnapshotDfTable {
   using ShardMap = DfSnapshot::ShardMap;
 
   mutable Mutex mu_;
-  std::array<std::shared_ptr<const ShardMap>, ShardedPhraseCounter::kNumShards>
+  std::array<std::shared_ptr<const ShardMap>, DfSnapshot::kNumShards>
       shards_ GUARDED_BY(mu_);
   size_t num_documents_ GUARDED_BY(mu_) = 0;
   size_t num_phrases_ GUARDED_BY(mu_) = 0;

@@ -1,13 +1,14 @@
 #include "tfidf/tfidf_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
-#include "tfidf/sharded_counter.h"
+#include "tfidf/df_run.h"
 #include "util/audit.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace infoshield {
 
@@ -17,55 +18,23 @@ void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
   num_documents_ = corpus.size();
   from_snapshot_ = false;
   snapshot_ = DfSnapshot();
-  df_.clear();
-  build_stats_ = TfidfBuildStats{};
-  const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
-  if (threads <= 1 || corpus.size() < 2) {
-    // Serial reference path: one global map, one pass.
-    std::unordered_map<PhraseHash, uint32_t> seen;
-    for (const Document& doc : corpus.docs()) {
-      seen.clear();
-      for (const NgramSpan& g : ExtractNgrams(doc, options_.max_ngram)) {
-        seen.emplace(g.hash, 0);
-      }
-      // determinism: commutative integer increments; order cannot matter.
-      for (const auto& [hash, unused] : seen) {
-        ++df_[hash];
-      }
-    }
-  } else {
-    // Sharded parallel path: contiguous document chunks fan out across
-    // the pool; each worker accumulates per-document-deduplicated
-    // counts into a private shard-partitioned map and flushes it
-    // shard-wise under the shard mutexes. Counts are a commutative sum,
-    // so the merged table equals the serial one for any schedule.
-    const size_t n = corpus.size();
-    const size_t num_chunks = std::min(n, threads * 4);
-    ShardedPhraseCounter counter;
-    ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-      const size_t begin = chunk * n / num_chunks;
-      const size_t end = (chunk + 1) * n / num_chunks;
-      ShardedPhraseCounter::Local local;
-      std::unordered_map<PhraseHash, uint32_t> seen;
-      for (size_t d = begin; d < end; ++d) {
-        seen.clear();
-        for (const NgramSpan& g :
-             ExtractNgrams(corpus.docs()[d], options_.max_ngram)) {
-          seen.emplace(g.hash, 0);
-        }
-        // determinism: commutative integer increments; order cannot
-        // matter.
-        for (const auto& [hash, unused] : seen) {
-          local.Increment(hash);
-        }
-      }
-      counter.Flush(&local);
-    });
-    counter.Drain(&df_);
-    const ShardedPhraseCounter::Stats stats = counter.stats();
-    build_stats_.shard_flushes = stats.flushes;
-    build_stats_.shard_contended = stats.contended;
+  DfRun run = CountDocumentFrequencies(corpus, 0, corpus.size(),
+                                       options_.max_ngram, num_threads);
+  keys_ = std::move(run.keys);
+  dfs_ = std::move(run.counts);
+
+  // Directory over the top bits, one to two keys per bucket
+  // (DESIGN.md §11 has the measured alternatives).
+  const int bits =
+      std::max(1, static_cast<int>(std::bit_width(keys_.size())) - 1);
+  dir_shift_ = 64 - bits;
+  dir_.assign((size_t{1} << bits) + 1, 0);
+  size_t i = 0;
+  for (size_t b = 0; b + 1 < dir_.size(); ++b) {
+    dir_[b] = static_cast<uint32_t>(i);
+    while (i < keys_.size() && (keys_[i] >> dir_shift_) == b) ++i;
   }
+  dir_.back() = static_cast<uint32_t>(keys_.size());
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
@@ -75,15 +44,20 @@ void TfidfIndex::BuildFromSnapshot(const DfSnapshot& snapshot,
   num_documents_ = snapshot.num_documents();
   from_snapshot_ = true;
   snapshot_ = snapshot;
-  df_.clear();
-  build_stats_ = TfidfBuildStats{};
+  keys_.clear();
+  dfs_.clear();
+  dir_.clear();
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
 size_t TfidfIndex::DocumentFrequency(PhraseHash phrase) const {
   if (from_snapshot_) return snapshot_.DocumentFrequency(phrase);
-  auto it = df_.find(phrase);
-  return it == df_.end() ? 0 : it->second;
+  if (dir_.empty()) return 0;
+  const size_t bucket = static_cast<size_t>(phrase >> dir_shift_);
+  for (size_t i = dir_[bucket]; i < dir_[bucket + 1]; ++i) {
+    if (keys_[i] == phrase) return dfs_[i];
+  }
+  return 0;
 }
 
 double TfidfIndex::ScoreWithDf(size_t df, size_t tf) const {
@@ -97,24 +71,33 @@ double TfidfIndex::Score(PhraseHash phrase, size_t tf) const {
   return ScoreWithDf(DocumentFrequency(phrase), tf);
 }
 
+// analyzer: hot
 std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
-  const size_t min_n = std::min(options_.min_ngram, options_.max_ngram);
-  // Count term frequencies of the document's distinct eligible phrases.
-  std::unordered_map<PhraseHash, uint32_t> tf;
+  const size_t min_n =
+      std::max<size_t>(std::min(options_.min_ngram, options_.max_ngram), 1);
+  // Sorting the document's eligible phrase hashes puts equal phrases
+  // side by side; each run's length is its term frequency.
+  const size_t len = doc.tokens.size();
+  std::vector<PhraseHash> hashes;
+  hashes.reserve(NumNgrams(len, options_.max_ngram) -
+                 NumNgrams(len, min_n - 1));
   for (const NgramSpan& g : ExtractNgrams(doc, options_.max_ngram)) {
-    if (g.n < min_n) continue;
-    ++tf[g.hash];
+    if (g.n >= min_n) hashes.push_back(g.hash);
   }
+  std::sort(hashes.begin(), hashes.end());
 
   std::vector<ScoredPhrase> scored;
-  scored.reserve(tf.size());
-  // determinism: unordered gather; `scored` is fully sorted below.
+  scored.reserve(hashes.size());
   // One df lookup per phrase: the min_df filter and the score share it
-  // (Score(hash, tf) would redo the hash probe).
-  for (const auto& [hash, count] : tf) {
-    const size_t df = DocumentFrequency(hash);
-    if (df < options_.min_df) continue;
-    scored.push_back(ScoredPhrase{hash, ScoreWithDf(df, count)});
+  // (Score(hash, tf) would redo the lookup).
+  for (size_t i = 0; i < hashes.size();) {
+    size_t j = i + 1;
+    while (j < hashes.size() && hashes[j] == hashes[i]) ++j;
+    const size_t df = DocumentFrequency(hashes[i]);
+    if (df >= options_.min_df) {
+      scored.push_back(ScoredPhrase{hashes[i], ScoreWithDf(df, j - i)});
+    }
+    i = j;
   }
 
   // top_fraction applies to the phrases actually eligible after the
@@ -126,12 +109,13 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
   keep = std::max(keep, options_.min_phrases_per_doc);
   keep = std::min(keep, scored.size());
 
-  // Deterministic order: score desc, hash asc as tie-break.
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredPhrase& a, const ScoredPhrase& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.hash < b.hash;
-            });
+  // Deterministic order: score desc, hash asc as tie-break. Hashes are
+  // distinct, so the order is total and the kept prefix is unique.
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                    [](const ScoredPhrase& a, const ScoredPhrase& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.hash < b.hash;
+                    });
   scored.resize(keep);
   INFOSHIELD_AUDIT_INVARIANTS(ValidateTopPhrases(scored));
   return scored;
@@ -144,19 +128,28 @@ Status TfidfIndex::ValidateInvariants() const {
                      options_.top_fraction));
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
   if (from_snapshot_) {
-    a.Expect(df_.empty(), "snapshot-backed index also owns a df map");
+    a.Expect(keys_.empty(), "snapshot-backed index also owns df arrays");
     a.Expect(num_documents_ == snapshot_.num_documents(),
              StrFormat("index says %zu documents but its snapshot says %zu",
                        num_documents_, snapshot_.num_documents()));
     return a.Finish();
   }
-  // determinism: validation only; each entry is checked independently.
-  for (const auto& [hash, df] : df_) {
-    if (df < 1 || df > num_documents_) {
+  a.Expect(dfs_.size() == keys_.size(),
+           StrFormat("%zu keys but %zu dfs", keys_.size(), dfs_.size()));
+  for (size_t i = 0; i < keys_.size() && i < dfs_.size(); ++i) {
+    if (i > 0 && keys_[i - 1] >= keys_[i]) {
+      a.Expect(false, StrFormat("keys #%zu..#%zu not strictly ascending",
+                                i - 1, i));
+    }
+    if (dfs_[i] < 1 || dfs_[i] > num_documents_) {
       a.Expect(false,
                StrFormat("phrase %llu has df %u outside [1, %zu]",
-                         static_cast<unsigned long long>(hash), df,
+                         static_cast<unsigned long long>(keys_[i]), dfs_[i],
                          num_documents_));
+    }
+    if (DocumentFrequency(keys_[i]) != dfs_[i]) {
+      a.Expect(false, StrFormat("phrase #%zu unreachable through the "
+                                "directory", i));
     }
   }
   return a.Finish();

@@ -17,7 +17,6 @@
 #define INFOSHIELD_TFIDF_TFIDF_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "text/corpus.h"
@@ -53,21 +52,15 @@ struct ScoredPhrase {
   double score;
 };
 
-// Diagnostics from a sharded (parallel) Build; zeros after a serial one.
-struct TfidfBuildStats {
-  size_t shard_flushes = 0;
-  size_t shard_contended = 0;
-};
-
 class TfidfIndex {
  public:
   TfidfIndex() = default;
 
-  // Scans the corpus and builds document-frequency tables. With
-  // num_threads > 1 (0 = hardware concurrency) the accumulation is
-  // sharded by PhraseHash across a worker pool (sharded_counter.h);
-  // because df accumulation is a commutative integer sum, the resulting
-  // table is identical to the serial build for any thread count.
+  // Scans the corpus and builds the document-frequency table: one
+  // contiguous document chunk per thread (0 = hardware concurrency)
+  // counts a sorted run (df_run.h), and a k-way merge in hash order
+  // writes the runs into flat sorted arrays. The table is identical for
+  // any thread count.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
@@ -93,10 +86,9 @@ class TfidfIndex {
 
   size_t num_documents() const { return num_documents_; }
   size_t num_phrases() const {
-    return from_snapshot_ ? snapshot_.num_phrases() : df_.size();
+    return from_snapshot_ ? snapshot_.num_phrases() : keys_.size();
   }
   const TfidfOptions& options() const { return options_; }
-  const TfidfBuildStats& build_stats() const { return build_stats_; }
 
   // Deep invariant audit (util/audit.h): every document frequency lies in
   // [1, num_documents] and the stored options are sane. Returns OK or an
@@ -111,11 +103,16 @@ class TfidfIndex {
 
   TfidfOptions options_;
   size_t num_documents_ = 0;
-  TfidfBuildStats build_stats_;
-  // Exactly one df source is active: the owned map (after Build) or the
-  // frozen snapshot (after BuildFromSnapshot).
+  // Exactly one df source is active: the owned arrays (after Build) or
+  // the frozen snapshot (after BuildFromSnapshot).
   bool from_snapshot_ = false;
-  std::unordered_map<PhraseHash, uint32_t> df_;
+  // keys_ ascending, dfs_[i] the df of keys_[i]. dir_[b] is the first
+  // index whose key's top bits (key >> dir_shift_) are >= b, so a lookup
+  // scans only the one to two keys of its bucket.
+  std::vector<PhraseHash> keys_;
+  std::vector<uint32_t> dfs_;
+  std::vector<uint32_t> dir_;
+  int dir_shift_ = 64;
   DfSnapshot snapshot_;
 };
 

@@ -158,8 +158,6 @@ TEST(CoarseTest, StatsCarryPerPhaseTimings) {
   EXPECT_GE(r.stats.graph_seconds, 0.0);
   EXPECT_GE(r.stats.components_seconds, 0.0);
   EXPECT_GE(r.stats.total_seconds(), r.stats.index_seconds);
-  // The sharded build flushed at least one local shard per chunk.
-  EXPECT_GT(r.stats.shard_flushes, 0u);
 }
 
 TEST(CoarseTest, EdgeCountPositiveWhenClustered) {

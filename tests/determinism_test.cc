@@ -77,7 +77,7 @@ TEST(DeterminismTest, NaiveCostingIsByteIdenticalToOptimized) {
 }
 
 TEST(DeterminismTest, SerialCoarseEscapeHatchIsByteIdentical) {
-  // The sharded parallel coarse pipeline (parallel df accumulation,
+  // The parallel coarse pipeline (per-thread sorted df runs,
   // per-document top-phrase fan-out, sort-and-union edge replay) is
   // required to be exact: CoarseOptions::use_serial_coarse re-runs the
   // single-threaded reference, and the two must render to the same

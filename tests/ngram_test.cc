@@ -34,6 +34,13 @@ TEST(ExtractNgramsTest, CountsMatchFormula) {
   EXPECT_EQ(ExtractNgrams(d, 2).size(), 7u);
   // max_n=5 capped by length: 4+3+2+1 = 10.
   EXPECT_EQ(ExtractNgrams(d, 5).size(), 10u);
+  EXPECT_EQ(NumNgrams(4, 2), 7u);
+  EXPECT_EQ(NumNgrams(4, 5), 10u);
+  EXPECT_EQ(NumNgrams(0, 5), 0u);
+  EXPECT_EQ(NumNgrams(4, 0), 0u);
+  // A wrapped (huge) max_n is capped by the length, not multiplied.
+  EXPECT_EQ(NumNgrams(4, ~size_t{0}), 10u);
+  EXPECT_EQ(ExtractNgrams(d, ~size_t{0}).size(), 10u);
 }
 
 TEST(ExtractNgramsTest, EmptyDocAndZeroN) {

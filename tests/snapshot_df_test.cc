@@ -7,31 +7,17 @@
 
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "text/corpus.h"
 #include "text/ngram.h"
+#include "tfidf/df_run.h"
 #include "tfidf/tfidf_index.h"
 
 namespace infoshield {
 namespace {
-
-// Per-document-deduplicated phrase counts for docs [begin, end), exactly
-// as TfidfIndex::Build accumulates them.
-void AccumulateDelta(const Corpus& corpus, size_t begin, size_t end,
-                     size_t max_ngram, ShardedPhraseCounter::Local* delta) {
-  std::unordered_set<PhraseHash> seen;
-  for (size_t d = begin; d < end; ++d) {
-    seen.clear();
-    for (const NgramSpan& g : ExtractNgrams(corpus.docs()[d], max_ngram)) {
-      seen.insert(g.hash);
-    }
-    for (PhraseHash hash : seen) delta->Increment(hash);
-  }
-}
 
 Corpus MakeCorpus(const std::vector<std::string>& texts) {
   Corpus corpus;
@@ -61,6 +47,36 @@ TEST(SnapshotDfTableTest, EmptyTableIsGenerationZero) {
   EXPECT_TRUE(table.ValidateInvariants().ok());
 }
 
+TEST(SnapshotDfTableTest, ShardOfUsesTopBits) {
+  // The top six bits pick the shard, so a run sorted by hash splits into
+  // one contiguous slice per shard.
+  EXPECT_EQ(DfSnapshot::ShardOf((PhraseHash{0} << 58) | 123), 0u);
+  EXPECT_EQ(DfSnapshot::ShardOf(PhraseHash{17} << 58), 17u);
+  EXPECT_EQ(DfSnapshot::ShardOf((PhraseHash{63} << 58) | 999), 63u);
+}
+
+TEST(SnapshotDfTableTest, RunSpanningAllShardsFoldsIn) {
+  // Two keys in every shard, shard boundaries included: each slice must
+  // land in its own shard with its own counts.
+  DfRun delta;
+  for (PhraseHash s = 0; s < DfSnapshot::kNumShards; ++s) {
+    delta.keys.push_back(s << 58);
+    delta.counts.push_back(1);
+    delta.keys.push_back((s << 58) | ((PhraseHash{1} << 58) - 1));
+    delta.counts.push_back(2);
+  }
+  const std::vector<PhraseHash> keys = delta.keys;
+  SnapshotDfTable table;
+  table.ApplyBatch(&delta, 2);
+  const DfSnapshot snap = table.Snapshot();
+  EXPECT_EQ(snap.num_phrases(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(snap.DocumentFrequency(keys[i]), i % 2 == 0 ? 1u : 2u);
+  }
+  EXPECT_EQ(snap.DocumentFrequency(PhraseHash{1}), 0u);
+  EXPECT_TRUE(table.ValidateInvariants().ok());
+}
+
 TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
   // df accumulation is a commutative sum, so folding the corpus in as
   // two batches must reproduce TfidfIndex::Build over the whole corpus
@@ -69,10 +85,10 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
   const TfidfOptions options;
 
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 3, options.max_ngram, &delta);
+  DfRun delta = CountDocumentFrequencies(corpus, 0, 3, options.max_ngram);
   table.ApplyBatch(&delta, 3);
-  AccumulateDelta(corpus, 3, corpus.size(), options.max_ngram, &delta);
+  delta =
+      CountDocumentFrequencies(corpus, 3, corpus.size(), options.max_ngram);
   table.ApplyBatch(&delta, corpus.size() - 3);
 
   TfidfIndex reference;
@@ -95,18 +111,17 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
 TEST(SnapshotDfTableTest, ApplyBatchClearsTheDelta) {
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, corpus.size(), 5, &delta);
-  ASSERT_FALSE(delta.empty());
+  DfRun delta = CountDocumentFrequencies(corpus, 0, corpus.size(), 5);
+  ASSERT_FALSE(delta.keys.empty());
   table.ApplyBatch(&delta, corpus.size());
-  EXPECT_TRUE(delta.empty());
+  EXPECT_TRUE(delta.keys.empty());
+  EXPECT_TRUE(delta.counts.empty());
 }
 
 TEST(SnapshotDfTableTest, SnapshotIsFrozenAcrossApplyBatch) {
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 2, 5, &delta);
+  DfRun delta = CountDocumentFrequencies(corpus, 0, 2, 5);
   table.ApplyBatch(&delta, 2);
 
   DfSnapshot frozen = table.Snapshot();
@@ -115,7 +130,7 @@ TEST(SnapshotDfTableTest, SnapshotIsFrozenAcrossApplyBatch) {
     before.emplace_back(g.hash, frozen.DocumentFrequency(g.hash));
   }
 
-  AccumulateDelta(corpus, 2, corpus.size(), 5, &delta);
+  delta = CountDocumentFrequencies(corpus, 2, corpus.size(), 5);
   table.ApplyBatch(&delta, corpus.size() - 2);
 
   // The old snapshot still reads generation-1 values; a fresh snapshot
@@ -139,8 +154,8 @@ TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
   const TfidfOptions options;
 
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, corpus.size(), options.max_ngram, &delta);
+  DfRun delta =
+      CountDocumentFrequencies(corpus, 0, corpus.size(), options.max_ngram);
   table.ApplyBatch(&delta, corpus.size());
 
   TfidfIndex built;
@@ -168,8 +183,7 @@ TEST(SnapshotDfTableTest, ReadersSeeFrozenScoresUnderConcurrentWrites) {
   // while the writer folds in batch after batch.
   const Corpus corpus = MakeCorpus(SampleTexts());
   SnapshotDfTable table;
-  ShardedPhraseCounter::Local delta;
-  AccumulateDelta(corpus, 0, 2, 5, &delta);
+  DfRun delta = CountDocumentFrequencies(corpus, 0, 2, 5);
   table.ApplyBatch(&delta, 2);
 
   const DfSnapshot frozen = table.Snapshot();
@@ -197,9 +211,9 @@ TEST(SnapshotDfTableTest, ReadersSeeFrozenScoresUnderConcurrentWrites) {
     });
   }
   std::thread writer([&] {
-    ShardedPhraseCounter::Local local;
+    DfRun local;
     for (int round = 0; round < kRounds; ++round) {
-      AccumulateDelta(corpus, 2, corpus.size(), 5, &local);
+      local = CountDocumentFrequencies(corpus, 2, corpus.size(), 5);
       table.ApplyBatch(&local, corpus.size() - 2);
     }
   });

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "coarse/coarse_clustering.h"
 #include "core/infoshield.h"
@@ -49,9 +50,10 @@ int Main(int argc, char** argv) {
       .AddInt("max-docs-per-template", 10,
               "member documents rendered per template (0 = all)")
       .AddInt("threads", 1,
-              "worker threads for both stages: the sharded coarse "
-              "pipeline and the per-cluster fine stage (0 = all cores); "
-              "results are identical for any value")
+              "worker threads for both stages: the coarse df index, "
+              "top-phrase selection and graph, and the per-cluster fine "
+              "stage (0 = all cores); results are identical for any "
+              "value")
       .AddBool("color", true, "ANSI colors in terminal output")
       .AddBool("stats", true, "print per-cluster compression statistics")
       .AddBool("rank", true,
@@ -69,6 +71,19 @@ int Main(int argc, char** argv) {
     std::fputs(flags.Usage("infoshield").c_str(),
                flags.GetBool("help") ? stdout : stderr);
     return flags.GetBool("help") ? 0 : 2;
+  }
+
+  // Counts that would wrap when cast to size_t are rejected before any
+  // input is read.
+  const std::pair<const char*, int64_t> minimums[] = {{"threads", 0},
+                                                      {"max-ngram", 1}};
+  for (const auto& [name, minimum] : minimums) {
+    if (flags.GetInt(name) < minimum) {
+      std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n", name,
+                   static_cast<long long>(minimum),
+                   static_cast<long long>(flags.GetInt(name)));
+      return 2;
+    }
   }
 
   const char separator =
