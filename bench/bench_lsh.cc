@@ -18,9 +18,9 @@
 // where the backends legitimately disagree and tf-idf is the noisy one
 // — are reported (pair counts, precision) but never gated.
 //
-// Usage: bench_lsh [output.json] [max_docs]
-//   default ./BENCH_lsh.json, max_docs 500000 (CI smoke passes a
-//   smaller cap; the gate applies at every scale that runs).
+// Usage: bench_lsh [--out BENCH_lsh.json] [--max-docs 500000]
+//   CI smoke passes a smaller --max-docs; the gate applies at every
+//   scale that runs. --help prints the flags and exits.
 
 #include <cmath>
 #include <cstdint>
@@ -34,6 +34,8 @@
 #include "coarse/coarse_clustering.h"
 #include "datagen/neardup_gen.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
+#include "util/status.h"
 
 namespace {
 
@@ -141,9 +143,31 @@ void WriteBackend(JsonWriter& w, const char* key, const BackendRun& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_lsh.json";
-  const size_t max_docs =
-      argc > 2 ? static_cast<size_t>(std::stoull(argv[2])) : 500000;
+  FlagParser flags;
+  flags.AddString("out", "BENCH_lsh.json", "where to write the JSON report")
+      .AddInt("max-docs", 500000,
+              "largest corpus in the 1k..500k sweep to run (>= 1)")
+      .AddBool("help", false, "show usage");
+  const Status parse_status = flags.Parse(argc, argv);
+  std::string error;
+  if (!parse_status.ok()) {
+    error = parse_status.ToString();
+  } else if (!flags.positional().empty()) {
+    error = "unexpected argument '" + flags.positional().front() + "'";
+  } else if (flags.GetInt("max-docs") < 1) {
+    error = "--max-docs must be >= 1";
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
+                 flags.Usage("bench_lsh").c_str());
+    return 2;
+  }
+  if (flags.GetBool("help")) {
+    std::fputs(flags.Usage("bench_lsh").c_str(), stdout);
+    return 0;
+  }
+  const std::string out_path = flags.GetString("out");
+  const size_t max_docs = static_cast<size_t>(flags.GetInt("max-docs"));
 
   const std::vector<size_t> kScales = {1000, 5000, 25000, 100000, 500000};
 

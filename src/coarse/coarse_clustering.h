@@ -127,7 +127,7 @@ struct CoarseResult {
   // seeding works unchanged.
   // analyzer: allow(race-infer) -- coarse workers fill disjoint
   // per-DocId slots fork-join; afterwards the fine stage only reads it
-  // (RunOnCluster takes const*, the flagged write is that &-arg)
+  // (RunOnClusters takes const*, the flagged write is that &-arg)
   std::vector<std::vector<PhraseHash>> doc_top_phrases;
   // Bipartite edge count (for diagnostics / scaling studies).
   size_t num_edges = 0;

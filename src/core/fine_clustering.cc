@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/slot_analysis.h"
+#include "mdl/universal_code.h"
 #include "util/audit.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -34,16 +35,18 @@ double FineStageStats::cache_hit_rate() const {
 namespace {
 
 // Total cluster cost (Definition 1) for a set of accepted templates.
-// shapes: (length, slots) per template; encoded_base: per template, the
-// sum of its members' AlignmentCostBase; num_encoded: total docs encoded.
-double TotalCost(const CostModel& cm, size_t num_docs,
-                 const std::vector<std::pair<size_t, size_t>>& shapes,
+// template_costs: TemplateCost per template, so the model cost below is
+// CostModel::ModelCost's exact sum without re-deriving every term per
+// call; encoded_base: per template, the sum of its members'
+// AlignmentCostBase; num_encoded: total docs encoded.
+double TotalCost(size_t num_docs, const std::vector<double>& template_costs,
                  const std::vector<double>& encoded_base, size_t num_encoded,
                  double noise_token_cost) {
-  double cost = cm.ModelCost(shapes);
+  double cost = UniversalCodeLength(template_costs.size());
+  for (double template_cost : template_costs) cost += template_cost;
   cost += static_cast<double>(num_docs);  // 1-bit template flag per doc
   cost += noise_token_cost;
-  const double lg_t = Log2Bits(shapes.size());
+  const double lg_t = Log2Bits(template_costs.size());
   for (double base : encoded_base) cost += base;
   cost += lg_t * static_cast<double>(num_encoded);
   return cost;
@@ -331,44 +334,162 @@ void FineClustering::DetectSlotsIncremental(
   }
 }
 
-FineResult FineClustering::RunOnCluster(
+// analyzer: hot
+FineClustering::Claims FineClustering::Claim(
     const Corpus& corpus, const std::vector<DocId>& doc_ids,
     const CostModel& cm,
     const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
-  FineResult result;
+  Claims claims;
   const size_t num_docs = doc_ids.size();
-  if (num_docs == 0) return result;
-
-  // Phrase -> member documents (cluster order), for neighbor seeding.
-  std::unordered_map<PhraseHash, std::vector<DocId>> phrase_to_docs;
+  // Documents are identified by their position within the cluster, so
+  // memory stays O(cluster). (phrase, position) pairs sorted by phrase:
+  // a seed's neighbors are the equal ranges of its own top phrases.
+  std::vector<std::pair<PhraseHash, uint32_t>> phrase_index;
   if (doc_top_phrases != nullptr) {
-    for (DocId d : doc_ids) {
-      for (PhraseHash p : (*doc_top_phrases)[d]) {
-        phrase_to_docs[p].push_back(d);
+    size_t num_entries = 0;
+    for (DocId d : doc_ids) num_entries += (*doc_top_phrases)[d].size();
+    phrase_index.reserve(num_entries);
+    for (size_t i = 0; i < num_docs; ++i) {
+      for (PhraseHash p : (*doc_top_phrases)[doc_ids[i]]) {
+        phrase_index.emplace_back(p, static_cast<uint32_t>(i));
       }
     }
+    std::sort(phrase_index.begin(), phrase_index.end());
   }
+  auto by_doc_id = [&](uint32_t a, uint32_t b) {
+    return doc_ids[a] < doc_ids[b];
+  };
+  auto same_doc_id = [&](uint32_t a, uint32_t b) {
+    return doc_ids[a] == doc_ids[b];
+  };
+
+  // claimed marks documents already in some candidate set. A set is
+  // claimed before its MDL test and never released, whatever the test
+  // decides — which is what makes the sets independent of Decide.
+  std::vector<char> claimed(num_docs, 0);
+  std::vector<uint32_t> pool;
+  std::vector<uint32_t> members;
+  AlignmentWorkspace workspace;
+  const std::vector<size_t> no_slots;
+  pool.reserve(num_docs);
+  members.reserve(num_docs);
+  claims.sets.reserve(num_docs);
+  for (size_t cursor = 0; cursor < num_docs; ++cursor) {
+    if (claimed[cursor]) continue;
+    const DocId seed = doc_ids[cursor];
+    const std::vector<TokenId>& seed_tokens = corpus.doc(seed).tokens;
+
+    // --- Candidate Alignment (§IV-B1) ---
+    // The scan pool is either every unclaimed document after the seed,
+    // or — when the coarse stage's top phrases are available — only the
+    // seed's phrase-sharing neighbors in DocId order (see RunOnCluster's
+    // doc comment).
+    pool.clear();
+    if (doc_top_phrases != nullptr) {
+      for (PhraseHash p : (*doc_top_phrases)[seed]) {
+        auto it = std::lower_bound(
+            phrase_index.begin(), phrase_index.end(), p,
+            [](const std::pair<PhraseHash, uint32_t>& entry, PhraseHash key) {
+              return entry.first < key;
+            });
+        for (; it != phrase_index.end() && it->first == p; ++it) {
+          if (it->second != cursor && !claimed[it->second]) {
+            pool.push_back(it->second);
+          }
+        }
+      }
+      std::sort(pool.begin(), pool.end(), by_doc_id);
+      pool.erase(std::unique(pool.begin(), pool.end(), same_doc_id),
+                 pool.end());
+    } else {
+      for (size_t i = cursor + 1; i < num_docs; ++i) {
+        if (!claimed[i]) pool.push_back(static_cast<uint32_t>(i));
+      }
+    }
+
+    // A pool document joins when its encoding under the slot-free seed
+    // template is cheaper than leaving it unencoded. The summary is the
+    // one EncodeDocument(Template(seed_tokens), ...) would count, read
+    // off the alignment without materializing the annotated columns.
+    members.clear();
+    members.push_back(static_cast<uint32_t>(cursor));
+    for (uint32_t i : pool) {
+      const std::vector<TokenId>& tokens = corpus.doc(doc_ids[i]).tokens;
+      const Alignment alignment =
+          NeedlemanWunsch(seed_tokens, tokens, AlignmentScoring{}, &workspace);
+      const EncodingSummary summary =
+          SummaryForSlotMask(BuildGapCostProfile(alignment), no_slots);
+      if (cm.EncodedDocCost(1, summary) < cm.UnencodedDocCost(tokens.size())) {
+        members.push_back(i);
+      }
+    }
+    claims.stats.alignments_computed += pool.size();
+
+    CandidateSet& set = claims.sets.emplace_back();
+    set.members.reserve(members.size());
+    for (uint32_t i : members) {
+      set.members.push_back(doc_ids[i]);
+      set.unencoded += cm.UnencodedDocCost(corpus.doc(doc_ids[i]).length());
+      claimed[i] = 1;
+    }
+  }
+  return claims;
+}
+
+FineClustering::GroupFit FineClustering::Fit(const Corpus& corpus,
+                                             const CandidateSet& set,
+                                             const CostModel& cm) const {
+  GroupFit fit;
+  std::vector<std::vector<TokenId>> member_docs;
+  member_docs.reserve(set.members.size());
+  for (DocId d : set.members) member_docs.push_back(corpus.doc(d).tokens);
+  std::unique_ptr<MsaAligner> graph;
+  switch (options_.msa_backend) {
+    case MsaBackend::kPoa:
+      graph = std::make_unique<PoaGraph>(member_docs[0], options_.scoring);
+      break;
+    case MsaBackend::kProfile:
+      graph = std::make_unique<ProfileMsa>(member_docs[0], options_.scoring);
+      break;
+  }
+  for (size_t i = 1; i < member_docs.size(); ++i) {
+    graph->AddSequence(member_docs[i]);
+  }
+
+  // --- Consensus Search (Algorithm 2) + Slot Detection (Algorithm 3) ---
+  // The winning probe already aligned every member and detected slots;
+  // SearchConsensus hands all of it back, so nothing is recomputed.
+  ConsensusChoice choice =
+      SearchConsensus(*graph, member_docs, cm, &fit.stats);
+  if (choice.consensus.empty()) return fit;
+  fit.tmpl = std::move(choice.tmpl);
+  fit.encodings.reserve(choice.alignments.size());
+  for (const Alignment& a : choice.alignments) {
+    fit.encodings.push_back(EncodeDocumentWithAlignment(fit.tmpl, a, cm));
+    fit.base_sum += fit.encodings.back().base_cost;
+  }
+  return fit;
+}
+
+FineResult FineClustering::Decide(const Corpus& corpus,
+                                  const std::vector<DocId>& doc_ids,
+                                  const CostModel& cm, Claims claims,
+                                  std::vector<GroupFit> fits) const {
+  FineResult result;
+  result.stats = claims.stats;
+  for (const GroupFit& fit : fits) result.stats.MergeFrom(fit.stats);
+  const size_t num_docs = doc_ids.size();
+  if (num_docs == 0) return result;
 
   // Cost of the cluster with zero templates.
   double all_unencoded = 0.0;
   for (DocId id : doc_ids) {
     all_unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
   }
-  result.cost_before =
-      TotalCost(cm, num_docs, {}, {}, 0, all_unencoded);
+  result.cost_before = TotalCost(num_docs, {}, {}, 0, all_unencoded);
 
-  // Documents are processed in cluster order; claimed marks documents
-  // already owned by a template or rejected as noise (indexed by the
-  // document's position within the cluster, so memory stays O(cluster)).
-  std::unordered_map<DocId, uint32_t> local_index;
-  local_index.reserve(doc_ids.size());
-  for (size_t i = 0; i < doc_ids.size(); ++i) {
-    local_index.emplace(doc_ids[i], static_cast<uint32_t>(i));
-  }
-  std::vector<char> claimed(doc_ids.size(), 0);
-  auto is_claimed = [&](DocId d) { return claimed[local_index.at(d)] != 0; };
-  std::vector<std::pair<size_t, size_t>> shapes;   // accepted (len, slots)
-  std::vector<double> encoded_base;                // per-template Σ base
+  std::vector<double> template_costs;  // accepted TemplateCost(len, slots)
+  std::vector<double> encoded_base;    // per-template Σ base
   size_t num_encoded = 0;
   // Undecided documents are carried as unencoded in every total so that
   // successive totals stay comparable; as documents are claimed by a
@@ -378,128 +499,42 @@ FineResult FineClustering::RunOnCluster(
   double noise_token_cost = 0.0;
   double best_total = result.cost_before;
 
-  for (size_t cursor = 0; cursor < doc_ids.size(); ++cursor) {
-    const DocId seed = doc_ids[cursor];
-    if (claimed[cursor]) continue;
-    const std::vector<TokenId>& seed_tokens = corpus.doc(seed).tokens;
-
-    // --- Candidate Alignment (§IV-B1) ---
-    // The scan pool is either every unclaimed document after the seed,
-    // or — when the coarse stage's top phrases are available — only the
-    // seed's phrase-sharing neighbors (see RunOnCluster's doc comment).
-    std::vector<DocId> pool;
-    if (doc_top_phrases != nullptr) {
-      std::unordered_set<DocId> neighbor_set;
-      for (PhraseHash p : (*doc_top_phrases)[seed]) {
-        auto it = phrase_to_docs.find(p);
-        if (it == phrase_to_docs.end()) continue;
-        for (DocId d : it->second) {
-          if (d != seed && !is_claimed(d)) neighbor_set.insert(d);
-        }
-      }
-      // determinism: unordered gather, sorted before use on the next line.
-      pool.assign(neighbor_set.begin(), neighbor_set.end());
-      std::sort(pool.begin(), pool.end());
-    } else {
-      for (size_t i = cursor + 1; i < doc_ids.size(); ++i) {
-        if (!claimed[i]) pool.push_back(doc_ids[i]);
-      }
-    }
-
-    std::vector<DocId> member_ids{seed};
-    std::vector<std::vector<TokenId>> member_docs{seed_tokens};
-    std::unique_ptr<MsaAligner> graph;
-    switch (options_.msa_backend) {
-      case MsaBackend::kPoa:
-        graph = std::make_unique<PoaGraph>(seed_tokens, options_.scoring);
-        break;
-      case MsaBackend::kProfile:
-        graph = std::make_unique<ProfileMsa>(seed_tokens, options_.scoring);
-        break;
-    }
-    // The seed-vs-pool probes are independent, so the conditional costs
-    // can be computed across scan_threads workers; each probe writes its
-    // own pre-sized slot and the membership decisions (and POA fusion)
-    // happen sequentially afterward in pool order, so the result is
-    // byte-identical for any thread count.
-    Template seed_template(seed_tokens);
-    std::vector<double> conditional(pool.size(), 0.0);
-    ThreadPool::ParallelFor(options_.scan_threads, pool.size(), [&](size_t i) {
-      const std::vector<TokenId>& tokens = corpus.doc(pool[i]).tokens;
-      DocEncoding enc = EncodeDocument(seed_template, tokens, cm);
-      conditional[i] = cm.EncodedDocCost(1, enc.summary);
-    });
-    result.stats.alignments_computed += pool.size();
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const DocId d = pool[i];
-      const std::vector<TokenId>& tokens = corpus.doc(d).tokens;
-      if (conditional[i] < cm.UnencodedDocCost(tokens.size())) {
-        member_ids.push_back(d);
-        member_docs.push_back(tokens);
-        graph->AddSequence(tokens);
-      }
-    }
-
-    // Claim the candidate set and move its cost out of the pending pool.
-    double member_unencoded = 0.0;
-    for (DocId d : member_ids) {
-      member_unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
-      claimed[local_index.at(d)] = 1;
-    }
-    pending_token_cost -= member_unencoded;
+  for (size_t i = 0; i < claims.sets.size(); ++i) {
+    CandidateSet& set = claims.sets[i];
+    // Claiming the candidate set moves its cost out of the pending pool.
+    pending_token_cost -= set.unencoded;
 
     // Rejection keeps the total unchanged: the members' unencoded cost
     // simply moves from the pending pool to the noise term.
     auto reject_as_noise = [&]() {
-      for (DocId d : member_ids) result.noise.push_back(d);
-      noise_token_cost += member_unencoded;
+      for (DocId d : set.members) result.noise.push_back(d);
+      noise_token_cost += set.unencoded;
     };
-
-    if (member_ids.size() < options_.min_template_support) {
+    if (!NeedsFit(set) || fits[i].tmpl.tokens.empty()) {
       reject_as_noise();
       continue;
     }
-
-    // --- Consensus Search (Algorithm 2) + Slot Detection (Algorithm 3) ---
-    // The winning probe already aligned every member and detected slots;
-    // SearchConsensus hands all of it back, so nothing is recomputed.
-    ConsensusChoice choice =
-        SearchConsensus(*graph, member_docs, cm, &result.stats);
-    if (choice.consensus.empty()) {
-      reject_as_noise();
-      continue;
-    }
-    Template tmpl = std::move(choice.tmpl);
-
-    std::vector<DocEncoding> encodings;
-    double base_sum = 0.0;
-    encodings.reserve(member_docs.size());
-    for (const Alignment& a : choice.alignments) {
-      encodings.push_back(EncodeDocumentWithAlignment(tmpl, a, cm));
-      base_sum += encodings.back().base_cost;
-    }
+    GroupFit& fit = fits[i];
 
     // --- MDL acceptance (Algorithm 4) ---
-    std::vector<std::pair<size_t, size_t>> new_shapes = shapes;
-    new_shapes.emplace_back(tmpl.length(), tmpl.num_slots());
-    std::vector<double> new_encoded = encoded_base;
-    new_encoded.push_back(base_sum);
+    template_costs.push_back(
+        cm.TemplateCost(fit.tmpl.length(), fit.tmpl.num_slots()));
+    encoded_base.push_back(fit.base_sum);
     const double candidate_total =
-        TotalCost(cm, num_docs, new_shapes, new_encoded,
-                  num_encoded + member_ids.size(),
+        TotalCost(num_docs, template_costs, encoded_base,
+                  num_encoded + set.members.size(),
                   noise_token_cost + pending_token_cost);
-
     if (candidate_total < best_total) {
       best_total = candidate_total;
-      shapes = std::move(new_shapes);
-      encoded_base = std::move(new_encoded);
-      num_encoded += member_ids.size();
+      num_encoded += set.members.size();
       TemplateCluster cluster;
-      cluster.tmpl = std::move(tmpl);
-      cluster.members = std::move(member_ids);
-      cluster.encodings = std::move(encodings);
+      cluster.tmpl = std::move(fit.tmpl);
+      cluster.members = std::move(set.members);
+      cluster.encodings = std::move(fit.encodings);
       result.templates.push_back(std::move(cluster));
     } else {
+      template_costs.pop_back();
+      encoded_base.pop_back();
       reject_as_noise();
     }
   }
@@ -512,6 +547,61 @@ FineResult FineClustering::RunOnCluster(
   std::sort(result.noise.begin(), result.noise.end());
   INFOSHIELD_AUDIT_INVARIANTS(ValidateFineResult(result, corpus, doc_ids, &cm));
   return result;
+}
+
+FineResult FineClustering::RunOnCluster(
+    const Corpus& corpus, const std::vector<DocId>& doc_ids,
+    const CostModel& cm,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
+  return std::move(
+      RunOnClusters(corpus, {&doc_ids}, cm, doc_top_phrases, 1).front());
+}
+
+std::vector<FineResult> FineClustering::RunOnClusters(
+    const Corpus& corpus,
+    const std::vector<const std::vector<DocId>*>& clusters,
+    const CostModel& cm,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+    size_t num_threads) const {
+  const size_t num_clusters = clusters.size();
+  std::vector<Claims> claims(num_clusters);
+  ThreadPool::ParallelFor(num_threads, num_clusters, [&](size_t ci) {
+    claims[ci] = Claim(corpus, *clusters[ci], cm, doc_top_phrases);
+  });
+
+  // One task per (cluster, set) that needs a fit, largest set first: fit
+  // time grows with the set, and the atomic task counter in ParallelFor
+  // then packs the small sets around the large ones. Each task writes
+  // only its own fits[ci][si] slot.
+  std::vector<std::vector<GroupFit>> fits(num_clusters);
+  std::vector<std::pair<size_t, size_t>> tasks;
+  for (size_t ci = 0; ci < num_clusters; ++ci) {
+    fits[ci].resize(claims[ci].sets.size());
+    for (size_t si = 0; si < claims[ci].sets.size(); ++si) {
+      if (NeedsFit(claims[ci].sets[si])) tasks.emplace_back(ci, si);
+    }
+  }
+  auto set_size = [&](const std::pair<size_t, size_t>& task) {
+    return claims[task.first].sets[task.second].members.size();
+  };
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [&](const auto& a, const auto& b) {
+                     return set_size(a) > set_size(b);
+                   });
+  ThreadPool::ParallelFor(num_threads, tasks.size(), [&](size_t t) {
+    const auto [ci, si] = tasks[t];
+    fits[ci][si] = Fit(corpus, claims[ci].sets[si], cm);
+  });
+
+  // Decide is a few additions per set, and the largest cluster's replay
+  // dominates it, so it runs on the calling thread.
+  std::vector<FineResult> results;
+  results.reserve(num_clusters);
+  for (size_t ci = 0; ci < num_clusters; ++ci) {
+    results.push_back(Decide(corpus, *clusters[ci], cm, std::move(claims[ci]),
+                             std::move(fits[ci])));
+  }
+  return results;
 }
 
 Status ValidateTemplateCluster(const TemplateCluster& cluster,

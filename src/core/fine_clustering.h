@@ -58,18 +58,13 @@ struct FineOptions {
   // path — determinism_test enforces it — so this exists only to
   // cross-check and to measure the win (bench_fine reports both).
   bool use_naive_costing = false;
-  // Worker threads for the intra-cluster candidate-alignment scan (the
-  // seed-vs-pool encoding probes are independent). 1 = sequential,
-  // 0 = hardware concurrency. Results are byte-identical for any value;
-  // leave at 1 when clusters are already fanned out across a pool
-  // (InfoShieldOptions::num_threads) to avoid oversubscription.
-  size_t scan_threads = 1;
 };
 
-// Hot-path counters for one fine-stage run (summed over seeds for
-// RunOnCluster, over clusters by the pipeline). Deliberately not part of
-// the canonical JSON output: the optimized and naive paths must emit
-// byte-identical results while reporting very different counter values.
+// Hot-path counters for one fine-stage run (summed over seeds and
+// candidate sets for RunOnCluster, over clusters by the pipeline).
+// Deliberately not part of the canonical JSON output: the optimized and
+// naive paths must emit byte-identical results while reporting very
+// different counter values.
 struct FineStageStats {
   // Full Needleman-Wunsch alignments computed (pool scans + consensus
   // evaluations + any naive-path re-alignment).
@@ -134,6 +129,21 @@ class FineClustering {
       const std::vector<std::vector<PhraseHash>>* doc_top_phrases =
           nullptr) const;
 
+  // RunOnCluster over many clusters with one flat fan-out across
+  // num_threads workers (0 = hardware concurrency): every cluster's
+  // candidate sets are claimed, then every set is fitted as its own task
+  // (largest first, so one giant coarse component no longer serializes
+  // the stage), then each cluster's MDL decisions replay in seed order
+  // on the calling thread.
+  // Result i is byte-identical to RunOnCluster(*clusters[i]) for any
+  // thread count.
+  std::vector<FineResult> RunOnClusters(
+      const Corpus& corpus,
+      const std::vector<const std::vector<DocId>*>& clusters,
+      const CostModel& cost_model,
+      const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+      size_t num_threads) const;
+
   const FineOptions& options() const { return options_; }
 
   // --- Exposed sub-steps (tested independently) ---
@@ -177,6 +187,47 @@ class FineClustering {
                    const CostModel& cost_model) const;
 
  private:
+  // Algorithm 4 runs as three steps (DESIGN.md §10). A seed claims its
+  // candidate set before the MDL test and never releases it, and
+  // membership depends only on the seed's tokens and the fixed cost
+  // model, so every candidate set is known before any accept/reject
+  // decision: Claim is the sequential cursor scan, Fit is independent per
+  // set, and Decide replays the accept loop in seed order.
+
+  // One seed's candidate set: the seed, then every pool document whose
+  // conditional cost under the seed beats its unencoded cost.
+  struct CandidateSet {
+    std::vector<DocId> members;
+    // Sum of the members' UnencodedDocCost, in member order.
+    double unencoded = 0.0;
+  };
+  struct Claims {
+    std::vector<CandidateSet> sets;  // seed order
+    FineStageStats stats;            // the seed-vs-pool probes
+  };
+  // Everything Decide needs from one fitted set; the alignment graph and
+  // the member alignments are dropped inside Fit.
+  struct GroupFit {
+    Template tmpl;  // no tokens when the consensus search found none
+    std::vector<DocEncoding> encodings;  // parallel to the set's members
+    double base_sum = 0.0;
+    FineStageStats stats;
+  };
+
+  Claims Claim(const Corpus& corpus, const std::vector<DocId>& doc_ids,
+               const CostModel& cost_model,
+               const std::vector<std::vector<PhraseHash>>* doc_top_phrases)
+      const;
+  bool NeedsFit(const CandidateSet& set) const {
+    return set.members.size() >= options_.min_template_support;
+  }
+  GroupFit Fit(const Corpus& corpus, const CandidateSet& set,
+               const CostModel& cost_model) const;
+  // fits[i] is read only for the sets that NeedsFit.
+  FineResult Decide(const Corpus& corpus, const std::vector<DocId>& doc_ids,
+                    const CostModel& cost_model, Claims claims,
+                    std::vector<GroupFit> fits) const;
+
   // Cost of a candidate consensus as it would actually be adopted:
   // template model cost plus the documents' encoding cost after slot
   // detection (the lg t term is omitted — constant during the search).

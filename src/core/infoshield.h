@@ -23,8 +23,8 @@ struct InfoShieldOptions {
   CoarseOptions coarse;
   FineOptions fine;
   // Worker threads for both stages: the coarse pipeline (df counting,
-  // per-document top-phrase selection, edge generation)
-  // and the fine stage (coarse clusters are independent). Overrides
+  // per-document top-phrase selection, edge generation) and the fine
+  // stage (candidate-set fits, FineClustering::RunOnClusters). Overrides
   // coarse.num_threads. 1 = sequential; 0 = hardware concurrency.
   // Results are bit-identical for any thread count: coarse edges replay
   // in canonical order and fine clusters merge in deterministic order.

@@ -30,9 +30,10 @@
 //                 member's top phrases changed since the cached result,
 //                 and an unchanged lg V (a vocabulary-size step shifts
 //                 every cost comparison, so it clears the whole cache).
-//                 FineClustering::RunOnCluster reads nothing but its
-//                 members' tokens, its members' top-phrase lists, and
-//                 the cost model, so the cached FineResult is exact.
+//                 A cluster's FineClustering::RunOnClusters result
+//                 depends on nothing but its members' tokens, their
+//                 top-phrase lists, and the cost model, so the cached
+//                 FineResult is exact.
 //
 // Per-batch cost therefore scales with the size of the components the
 // batch touches, not with the corpus (the acceptance criterion
@@ -144,7 +145,7 @@ class IncrementalInfoShield {
 
   // Per-document state, indexed by DocId.
   // analyzer: allow(race-infer) -- fine workers only read it
-  // (RunOnCluster takes const*, the flagged write is that &-arg);
+  // (RunOnClusters takes const*, the flagged write is that &-arg);
   // mutation happens serially between ingest phases
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
   std::vector<uint64_t> doc_changed_gen_;

@@ -1,6 +1,6 @@
 // Fixed-size worker pool for embarrassingly parallel stages. The fine
-// stage processes coarse clusters independently, so InfoShield can fan
-// them out across cores (the paper's 8-hour/4M-documents figure is a
+// stage fits candidate sets independently, so InfoShield can fan them
+// out across cores (the paper's 8-hour/4M-documents figure is a
 // single laptop; multicore shortens it proportionally).
 //
 // All queue/bookkeeping state is guarded by mutex_ under the compile-time

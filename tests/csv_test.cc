@@ -3,7 +3,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <string_view>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -155,7 +158,11 @@ TEST(ReadCsvRecordTest, UnterminatedQuoteAtEofFails) {
 class CsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/infoshield_csv_test.csv";
+    // One file per test case and process: ctest -j runs every case as
+    // its own process, and they all share TempDir().
+    path_ = testing::TempDir() + "/infoshield_csv_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid()) + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

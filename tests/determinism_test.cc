@@ -6,6 +6,7 @@
 // order or scheduling leaked into the output (tools/lint.py rule
 // unordered-determinism guards the code side; this guards the result).
 
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -30,19 +31,21 @@ LabeledAds MakeCorpus(uint64_t seed) {
   return TraffickingGenerator(o).Generate(seed);
 }
 
+std::string RunToJson(const Corpus& corpus, InfoShieldOptions options) {
+  InfoShield shield(options);
+  InfoShieldResult result = shield.Run(corpus);
+  return ResultToJson(result, corpus);
+}
+
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
-                      bool naive_costing = false, size_t scan_threads = 1,
-                      bool serial_coarse = false,
+                      bool naive_costing = false, bool serial_coarse = false,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
   options.fine.use_naive_costing = naive_costing;
-  options.fine.scan_threads = scan_threads;
   options.coarse.use_serial_coarse = serial_coarse;
   options.coarse.backend = backend;
-  InfoShield shield(options);
-  InfoShieldResult result = shield.Run(corpus);
-  return ResultToJson(result, corpus);
+  return RunToJson(corpus, options);
 }
 
 TEST(DeterminismTest, RepeatedRunsAreByteIdentical) {
@@ -85,7 +88,6 @@ TEST(DeterminismTest, SerialCoarseEscapeHatchIsByteIdentical) {
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
                                        /*naive_costing=*/false,
-                                       /*scan_threads=*/1,
                                        /*serial_coarse=*/true);
   for (size_t threads : {1u, 4u, 8u}) {
     EXPECT_EQ(serial, RunToJson(data.corpus, threads))
@@ -93,16 +95,33 @@ TEST(DeterminismTest, SerialCoarseEscapeHatchIsByteIdentical) {
   }
 }
 
-TEST(DeterminismTest, ScanThreadsDoNotChangeOutput) {
-  // The intra-cluster candidate-alignment scan fans the seed-vs-pool
-  // probes across scan_threads; membership decisions stay sequential in
-  // pool order, so any worker count must render to the same bytes.
+TEST(DeterminismTest, GiantComponentFanOutIsByteIdentical) {
+  // Single shared words as top phrases percolate the coarse graph into
+  // one giant component (TfidfOptions::min_ngram's comment), the shape
+  // that serialized the fine stage when it fanned out per cluster. The
+  // flat per-candidate-set fan-out must render the same bytes at every
+  // thread count.
   LabeledAds data = MakeCorpus(/*seed=*/7);
-  const std::string sequential = RunToJson(data.corpus, 1);
-  for (size_t scan : {2u, 4u, 8u}) {
-    EXPECT_EQ(sequential, RunToJson(data.corpus, 1, /*naive_costing=*/false,
-                                    /*scan_threads=*/scan))
-        << "scan_threads=" << scan << " changed the output";
+  InfoShieldOptions options;
+  options.coarse.tfidf.min_ngram = 1;
+  options.coarse.tfidf.top_fraction = 0.3;
+  CoarseResult coarse = CoarseClustering(options.coarse).Run(data.corpus);
+  size_t clustered = 0;
+  size_t largest = 0;
+  for (const std::vector<DocId>& c : coarse.clusters) {
+    clustered += c.size();
+    largest = std::max(largest, c.size());
+  }
+  ASSERT_GT(2 * largest, clustered) << "corpus has no giant component";
+
+  options.num_threads = 1;
+  const InfoShieldResult result = InfoShield(options).Run(data.corpus);
+  ASSERT_GT(result.templates.size(), 1u);
+  const std::string sequential = ResultToJson(result, data.corpus);
+  for (size_t threads : {2u, 3u, 4u, 8u}) {
+    options.num_threads = threads;
+    EXPECT_EQ(sequential, RunToJson(data.corpus, options))
+        << "fine fan-out diverged at num_threads=" << threads;
   }
 }
 
@@ -114,13 +133,12 @@ TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
                                        /*naive_costing=*/false,
-                                       /*scan_threads=*/1,
                                        /*serial_coarse=*/true,
                                        CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
   for (size_t threads : {1u, 4u, 8u}) {
     EXPECT_EQ(serial, RunToJson(data.corpus, threads,
-                                /*naive_costing=*/false, /*scan_threads=*/1,
+                                /*naive_costing=*/false,
                                 /*serial_coarse=*/false,
                                 CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;

@@ -1,6 +1,17 @@
 #include "core/fine_clustering.h"
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+
 #include <gtest/gtest.h>
+
+#include "coarse/coarse_clustering.h"
+#include "datagen/trafficking_gen.h"
 
 namespace infoshield {
 namespace {
@@ -374,26 +385,331 @@ TEST(FineClusteringTest, ExhaustiveMatchesDichotomousOnVariedCluster) {
   }
 }
 
-TEST(FineClusteringTest, ScanThreadsDoNotChangeResult) {
-  std::vector<DocId> ids;
-  Corpus c = MixedCluster(&ids);
-  CostModel cm = CostModel::ForVocabulary(c.vocab());
-  FineResult sequential =
-      FineClustering(FineOptions{}).RunOnCluster(c, ids, cm);
-  for (size_t scan : {2u, 8u}) {
-    FineOptions opts;
-    opts.scan_threads = scan;
-    FineResult parallel = FineClustering(opts).RunOnCluster(c, ids, cm);
-    EXPECT_EQ(sequential.cost_after, parallel.cost_after);
-    EXPECT_EQ(sequential.noise, parallel.noise);
-    ASSERT_EQ(sequential.templates.size(), parallel.templates.size());
-    for (size_t t = 0; t < sequential.templates.size(); ++t) {
-      EXPECT_EQ(sequential.templates[t].tmpl.tokens,
-                parallel.templates[t].tmpl.tokens);
-      EXPECT_EQ(sequential.templates[t].members,
-                parallel.templates[t].members);
+// --- Claim/fit/decide vs the original sequential loop ---
+//
+// ReferenceRunOnCluster is Algorithm 4 as one greedy loop: each seed
+// gathers its pool, admits members, fits a template and takes the MDL
+// decision before the next seed starts. The production path splits that
+// loop into a claim scan, independent per-set fits and an in-order MDL
+// replay, and fans the fits out across clusters; it must agree with this
+// loop field by field, cost bits included.
+
+double ReferenceTotalCost(
+    const CostModel& cm, size_t num_docs,
+    const std::vector<std::pair<size_t, size_t>>& shapes,
+    const std::vector<double>& encoded_base, size_t num_encoded,
+    double noise_token_cost) {
+  double cost = cm.ModelCost(shapes);
+  cost += static_cast<double>(num_docs);
+  cost += noise_token_cost;
+  const double lg_t = Log2Bits(shapes.size());
+  for (double base : encoded_base) cost += base;
+  cost += lg_t * static_cast<double>(num_encoded);
+  return cost;
+}
+
+FineResult ReferenceRunOnCluster(
+    const FineOptions& options, const Corpus& corpus,
+    const std::vector<DocId>& doc_ids, const CostModel& cm,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
+  const FineClustering fine(options);
+  FineResult result;
+  const size_t num_docs = doc_ids.size();
+  if (num_docs == 0) return result;
+
+  std::unordered_map<PhraseHash, std::vector<DocId>> phrase_to_docs;
+  if (doc_top_phrases != nullptr) {
+    for (DocId d : doc_ids) {
+      for (PhraseHash p : (*doc_top_phrases)[d]) {
+        phrase_to_docs[p].push_back(d);
+      }
     }
   }
+  double all_unencoded = 0.0;
+  for (DocId id : doc_ids) {
+    all_unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
+  }
+  result.cost_before =
+      ReferenceTotalCost(cm, num_docs, {}, {}, 0, all_unencoded);
+
+  std::unordered_map<DocId, uint32_t> local_index;
+  for (size_t i = 0; i < doc_ids.size(); ++i) {
+    local_index.emplace(doc_ids[i], static_cast<uint32_t>(i));
+  }
+  std::vector<char> claimed(doc_ids.size(), 0);
+  auto is_claimed = [&](DocId d) { return claimed[local_index.at(d)] != 0; };
+  std::vector<std::pair<size_t, size_t>> shapes;
+  std::vector<double> encoded_base;
+  size_t num_encoded = 0;
+  double pending_token_cost = all_unencoded;
+  double noise_token_cost = 0.0;
+  double best_total = result.cost_before;
+
+  for (size_t cursor = 0; cursor < doc_ids.size(); ++cursor) {
+    const DocId seed = doc_ids[cursor];
+    if (claimed[cursor]) continue;
+    const std::vector<TokenId>& seed_tokens = corpus.doc(seed).tokens;
+
+    std::vector<DocId> pool;
+    if (doc_top_phrases != nullptr) {
+      std::unordered_set<DocId> neighbor_set;
+      for (PhraseHash p : (*doc_top_phrases)[seed]) {
+        auto it = phrase_to_docs.find(p);
+        if (it == phrase_to_docs.end()) continue;
+        for (DocId d : it->second) {
+          if (d != seed && !is_claimed(d)) neighbor_set.insert(d);
+        }
+      }
+      // determinism: unordered gather, sorted before use on the next line.
+      pool.assign(neighbor_set.begin(), neighbor_set.end());
+      std::sort(pool.begin(), pool.end());
+    } else {
+      for (size_t i = cursor + 1; i < doc_ids.size(); ++i) {
+        if (!claimed[i]) pool.push_back(doc_ids[i]);
+      }
+    }
+
+    std::vector<DocId> member_ids{seed};
+    std::vector<std::vector<TokenId>> member_docs{seed_tokens};
+    std::unique_ptr<MsaAligner> graph;
+    switch (options.msa_backend) {
+      case MsaBackend::kPoa:
+        graph = std::make_unique<PoaGraph>(seed_tokens, options.scoring);
+        break;
+      case MsaBackend::kProfile:
+        graph = std::make_unique<ProfileMsa>(seed_tokens, options.scoring);
+        break;
+    }
+    Template seed_template(seed_tokens);
+    result.stats.alignments_computed += pool.size();
+    for (DocId d : pool) {
+      const std::vector<TokenId>& tokens = corpus.doc(d).tokens;
+      DocEncoding enc = EncodeDocument(seed_template, tokens, cm);
+      if (cm.EncodedDocCost(1, enc.summary) <
+          cm.UnencodedDocCost(tokens.size())) {
+        member_ids.push_back(d);
+        member_docs.push_back(tokens);
+        graph->AddSequence(tokens);
+      }
+    }
+
+    double member_unencoded = 0.0;
+    for (DocId d : member_ids) {
+      member_unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
+      claimed[local_index.at(d)] = 1;
+    }
+    pending_token_cost -= member_unencoded;
+    auto reject_as_noise = [&]() {
+      for (DocId d : member_ids) result.noise.push_back(d);
+      noise_token_cost += member_unencoded;
+    };
+    if (member_ids.size() < options.min_template_support) {
+      reject_as_noise();
+      continue;
+    }
+    FineClustering::ConsensusChoice choice =
+        fine.SearchConsensus(*graph, member_docs, cm, &result.stats);
+    if (choice.consensus.empty()) {
+      reject_as_noise();
+      continue;
+    }
+    Template tmpl = std::move(choice.tmpl);
+    std::vector<DocEncoding> encodings;
+    double base_sum = 0.0;
+    for (const Alignment& a : choice.alignments) {
+      encodings.push_back(EncodeDocumentWithAlignment(tmpl, a, cm));
+      base_sum += encodings.back().base_cost;
+    }
+    std::vector<std::pair<size_t, size_t>> new_shapes = shapes;
+    new_shapes.emplace_back(tmpl.length(), tmpl.num_slots());
+    std::vector<double> new_encoded = encoded_base;
+    new_encoded.push_back(base_sum);
+    const double candidate_total = ReferenceTotalCost(
+        cm, num_docs, new_shapes, new_encoded,
+        num_encoded + member_ids.size(),
+        noise_token_cost + pending_token_cost);
+    if (candidate_total < best_total) {
+      best_total = candidate_total;
+      shapes = std::move(new_shapes);
+      encoded_base = std::move(new_encoded);
+      num_encoded += member_ids.size();
+      TemplateCluster cluster;
+      cluster.tmpl = std::move(tmpl);
+      cluster.members = std::move(member_ids);
+      cluster.encodings = std::move(encodings);
+      result.templates.push_back(std::move(cluster));
+    } else {
+      reject_as_noise();
+    }
+  }
+  result.cost_after = best_total;
+  std::sort(result.noise.begin(), result.noise.end());
+  return result;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
+  EXPECT_EQ(Bits(want.cost_before), Bits(got.cost_before));
+  EXPECT_EQ(Bits(want.cost_after), Bits(got.cost_after));
+  EXPECT_EQ(want.noise, got.noise);
+  EXPECT_EQ(want.stats.alignments_computed, got.stats.alignments_computed);
+  EXPECT_EQ(want.stats.consensus_probes, got.stats.consensus_probes);
+  EXPECT_EQ(want.stats.consensus_cache_hits, got.stats.consensus_cache_hits);
+  EXPECT_EQ(want.stats.slot_candidates_evaluated,
+            got.stats.slot_candidates_evaluated);
+  ASSERT_EQ(want.templates.size(), got.templates.size());
+  for (size_t t = 0; t < want.templates.size(); ++t) {
+    const TemplateCluster& w = want.templates[t];
+    const TemplateCluster& g = got.templates[t];
+    EXPECT_EQ(w.tmpl.tokens, g.tmpl.tokens);
+    EXPECT_EQ(w.tmpl.slot_at_gap, g.tmpl.slot_at_gap);
+    EXPECT_EQ(w.members, g.members);
+    ASSERT_EQ(w.encodings.size(), g.encodings.size());
+    for (size_t m = 0; m < w.encodings.size(); ++m) {
+      const DocEncoding& we = w.encodings[m];
+      const DocEncoding& ge = g.encodings[m];
+      EXPECT_EQ(Bits(we.base_cost), Bits(ge.base_cost));
+      EXPECT_EQ(we.slot_words, ge.slot_words);
+      EXPECT_EQ(we.summary.alignment_length, ge.summary.alignment_length);
+      EXPECT_EQ(we.summary.unmatched, ge.summary.unmatched);
+      EXPECT_EQ(we.summary.inserted_or_substituted,
+                ge.summary.inserted_or_substituted);
+      EXPECT_EQ(we.summary.slot_word_counts, ge.summary.slot_word_counts);
+      ASSERT_EQ(we.columns.size(), ge.columns.size());
+      for (size_t k = 0; k < we.columns.size(); ++k) {
+        EXPECT_EQ(we.columns[k].kind, ge.columns[k].kind);
+        EXPECT_EQ(we.columns[k].template_token, ge.columns[k].template_token);
+        EXPECT_EQ(we.columns[k].doc_token, ge.columns[k].doc_token);
+        EXPECT_EQ(we.columns[k].gap, ge.columns[k].gap);
+      }
+    }
+  }
+}
+
+// Runs the reference loop per cluster, then RunOnClusters over all of
+// them at 1/2/3/4/8 threads and RunOnCluster per cluster, comparing each
+// against the reference.
+void ExpectMatchesReference(
+    const FineOptions& options, const Corpus& corpus,
+    const std::vector<std::vector<DocId>>& clusters,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
+  const CostModel cm = CostModel::ForVocabulary(corpus.vocab());
+  const FineClustering fine(options);
+  std::vector<FineResult> want;
+  std::vector<const std::vector<DocId>*> cluster_ptrs;
+  for (const std::vector<DocId>& c : clusters) {
+    want.push_back(
+        ReferenceRunOnCluster(options, corpus, c, cm, doc_top_phrases));
+    cluster_ptrs.push_back(&c);
+  }
+  for (size_t ci = 0; ci < clusters.size(); ++ci) {
+    SCOPED_TRACE("RunOnCluster, cluster " + std::to_string(ci));
+    ExpectSameFineResult(
+        want[ci],
+        fine.RunOnCluster(corpus, clusters[ci], cm, doc_top_phrases));
+  }
+  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    const std::vector<FineResult> got = fine.RunOnClusters(
+        corpus, cluster_ptrs, cm, doc_top_phrases, threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t ci = 0; ci < clusters.size(); ++ci) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", cluster " +
+                   std::to_string(ci));
+      ExpectSameFineResult(want[ci], got[ci]);
+    }
+  }
+}
+
+// A generated ad corpus whose coarse stage (single shared words allowed
+// as top phrases) percolates into one giant component plus a few small
+// ones — the skewed shape the flat fan-out exists for.
+struct GiantComponentCorpus {
+  LabeledAds data;
+  CoarseResult coarse;
+};
+
+GiantComponentCorpus MakeGiantComponentCorpus() {
+  TraffickingGenOptions o;
+  o.num_benign = 80;
+  o.num_spam_clusters = 2;
+  o.spam_cluster_size_min = 10;
+  o.spam_cluster_size_max = 20;
+  o.num_ht_clusters = 8;
+  o.ht_cluster_size_min = 4;
+  o.ht_cluster_size_max = 10;
+  GiantComponentCorpus g{TraffickingGenerator(o).Generate(/*seed=*/11), {}};
+  CoarseOptions coarse;
+  coarse.tfidf.min_ngram = 1;
+  coarse.tfidf.top_fraction = 0.3;
+  g.coarse = CoarseClustering(coarse).Run(g.data.corpus);
+  return g;
+}
+
+TEST(FineClusteringReferenceTest, GiantComponentMatchesAtEveryThreadCount) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  size_t clustered = 0;
+  size_t largest = 0;
+  for (const std::vector<DocId>& c : g.coarse.clusters) {
+    clustered += c.size();
+    largest = std::max(largest, c.size());
+  }
+  ASSERT_GT(2 * largest, clustered) << "corpus has no giant component";
+  const CostModel cm = CostModel::ForVocabulary(g.data.corpus.vocab());
+  size_t templates = 0;
+  for (const std::vector<DocId>& c : g.coarse.clusters) {
+    templates += ReferenceRunOnCluster(FineOptions{}, g.data.corpus, c, cm,
+                                       &g.coarse.doc_top_phrases)
+                     .templates.size();
+  }
+  ASSERT_GT(templates, 1u);
+  ExpectMatchesReference(FineOptions{}, g.data.corpus, g.coarse.clusters,
+                         &g.coarse.doc_top_phrases);
+}
+
+TEST(FineClusteringReferenceTest, FullScanWithoutTopPhrasesMatches) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  ExpectMatchesReference(FineOptions{}, g.data.corpus, g.coarse.clusters,
+                         nullptr);
+}
+
+TEST(FineClusteringReferenceTest, MinTemplateSupportThreeMatches) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  FineOptions options;
+  options.min_template_support = 3;
+  ExpectMatchesReference(options, g.data.corpus, g.coarse.clusters,
+                         &g.coarse.doc_top_phrases);
+  ExpectMatchesReference(options, g.data.corpus, g.coarse.clusters,
+                         nullptr);
+}
+
+TEST(FineClusteringReferenceTest, EmptyAndOneDocumentClustersMatch) {
+  std::vector<DocId> ids;
+  Corpus c = MixedCluster(&ids);
+  std::vector<std::vector<PhraseHash>> phrases(c.size());
+  for (DocId d : ids) phrases[d] = {0x1234ULL};
+  const std::vector<std::vector<DocId>> clusters = {{}, {ids[0]}, ids, {}};
+  ExpectMatchesReference(FineOptions{}, c, clusters, &phrases);
+  ExpectMatchesReference(FineOptions{}, c, clusters, nullptr);
+  const CostModel cm = CostModel::ForVocabulary(c.vocab());
+  EXPECT_TRUE(FineClustering()
+                  .RunOnClusters(c, {}, cm, nullptr, /*num_threads=*/4)
+                  .empty());
+}
+
+TEST(FineClusteringReferenceTest, NaiveCostingAndProfileBackendMatch) {
+  std::vector<DocId> ids;
+  Corpus c = MixedCluster(&ids);
+  FineOptions naive;
+  naive.use_naive_costing = true;
+  FineOptions profile;
+  profile.msa_backend = MsaBackend::kProfile;
+  ExpectMatchesReference(naive, c, {ids}, nullptr);
+  ExpectMatchesReference(profile, c, {ids}, nullptr);
 }
 
 TEST(FineClusteringTest, DetectSlotsPublicApi) {

@@ -151,8 +151,8 @@ class ExprStmt(Stmt):
 
 
 class LocalClass(Stmt):
-    """A class/struct defined inside a function body (e.g. FineProgress
-    in core/infoshield.cc). Its fields can carry GUARDED_BY like any
+    """A class/struct defined inside a function body (e.g. a progress
+    tally local to a fan-out). Its fields can carry GUARDED_BY like any
     other class."""
 
     def __init__(self, line, decl):

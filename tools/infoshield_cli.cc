@@ -51,9 +51,9 @@ int Main(int argc, char** argv) {
               "member documents rendered per template (0 = all)")
       .AddInt("threads", 1,
               "worker threads for both stages: the coarse df index, "
-              "top-phrase selection and graph, and the per-cluster fine "
-              "stage (0 = all cores); results are identical for any "
-              "value")
+              "top-phrase selection and graph, and the fine stage's "
+              "candidate-set fits (0 = all cores); results are identical "
+              "for any value")
       .AddBool("color", true, "ANSI colors in terminal output")
       .AddBool("stats", true, "print per-cluster compression statistics")
       .AddBool("rank", true,
@@ -75,8 +75,11 @@ int Main(int argc, char** argv) {
 
   // Counts that would wrap when cast to size_t are rejected before any
   // input is read.
-  const std::pair<const char*, int64_t> minimums[] = {{"threads", 0},
-                                                      {"max-ngram", 1}};
+  const std::pair<const char*, int64_t> minimums[] = {
+      {"threads", 0},          {"max-ngram", 1},
+      {"lsh-hashes", 1},       {"lsh-bands", 1},
+      {"lsh-rows", 1},         {"shingle-k", 1},
+      {"min-cluster-size", 1}, {"max-docs-per-template", 0}};
   for (const auto& [name, minimum] : minimums) {
     if (flags.GetInt(name) < minimum) {
       std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n", name,
