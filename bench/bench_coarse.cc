@@ -16,9 +16,10 @@
 // On single-core runners the speedup reported is honest (~1x or below);
 // the benchmark gates only on divergence, never on speedup.
 //
-// Usage: bench_coarse [output.json]   (default ./BENCH_coarse.json)
+// Usage: bench_coarse [--out BENCH_coarse.json] [--help]
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "coarse/coarse_clustering.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace {
@@ -128,7 +130,14 @@ void WriteRun(JsonWriter& w, const RunOutcome& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_coarse.json";
+  FlagParser flags;
+  flags.AddString("out", "BENCH_coarse.json",
+                  "where to write the JSON report");
+  if (const std::optional<int> exit_code =
+          bench::ParseBenchFlags(&flags, argc, argv, "bench_coarse")) {
+    return *exit_code;
+  }
+  const std::string out_path = flags.GetString("out");
   constexpr int kTrials = 3;
 
   LabeledAds data = WideCorpus();

@@ -11,13 +11,14 @@
 // sweeps the worker count at a fixed N to show how the parallel coarse
 // and fine paths share the same quasi-linear shape per thread.
 //
-// Usage: bench_fig2_scalability [output.json]
+// Usage: bench_fig2_scalability [--out BENCH_fig2.json] [--help]
 //   Prints the tables as before and writes the sweep rows, the thread
 //   sweep, and the linear-fit metrics into the shared BENCH_*.json
 //   envelope (schema "infoshield-bench-fig2/1", default
 //   ./BENCH_fig2.json).
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/infoshield.h"
 #include "datagen/twitter_gen.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace {
@@ -40,7 +42,14 @@ infoshield::LabeledTweets MakeTweets(size_t target, uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace infoshield;
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fig2.json";
+  FlagParser flags;
+  flags.AddString("out", "BENCH_fig2.json",
+                  "where to write the JSON report");
+  if (const std::optional<int> exit_code = bench::ParseBenchFlags(
+          &flags, argc, argv, "bench_fig2_scalability")) {
+    return *exit_code;
+  }
+  const std::string out_path = flags.GetString("out");
   bench::PrintHeader(
       "Fig. 2: runtime vs. #tweets (expect linear; paper: 3x/400)");
 

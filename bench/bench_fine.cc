@@ -9,15 +9,17 @@
 // stage seconds and hot-path counters plus the speedup, giving the
 // repo a tracked trajectory for this path.
 //
-// Usage: bench_fine [output.json]   (default ./BENCH_fine.json)
+// Usage: bench_fine [--out BENCH_fine.json] [--help]
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "bench_util.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -80,7 +82,14 @@ void WriteRun(JsonWriter& w, const char* key, const RunOutcome& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_fine.json";
+  FlagParser flags;
+  flags.AddString("out", "BENCH_fine.json",
+                  "where to write the JSON report");
+  if (const std::optional<int> exit_code =
+          bench::ParseBenchFlags(&flags, argc, argv, "bench_fine")) {
+    return *exit_code;
+  }
+  const std::string out_path = flags.GetString("out");
   LabeledAds data = SkewedCorpus();
   std::printf("corpus: %zu documents (skewed: one dominant campaign)\n",
               data.corpus.size());

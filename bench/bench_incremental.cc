@@ -14,9 +14,10 @@
 // so the trajectory is auditable; the gate is only on divergence, never
 // on speedup (single-core CI runners stay honest).
 //
-// Usage: bench_incremental [output.json]  (default ./BENCH_incremental.json)
+// Usage: bench_incremental [--out BENCH_incremental.json] [--help]
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "datagen/trafficking_gen.h"
 #include "incremental/incremental_infoshield.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace {
@@ -83,7 +85,14 @@ void WriteRound(JsonWriter& w, const Round& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_incremental.json";
+  FlagParser flags;
+  flags.AddString("out", "BENCH_incremental.json",
+                  "where to write the JSON report");
+  if (const std::optional<int> exit_code =
+          bench::ParseBenchFlags(&flags, argc, argv, "bench_incremental")) {
+    return *exit_code;
+  }
+  const std::string out_path = flags.GetString("out");
 
   LabeledAds data = BaseCorpus();
   std::vector<std::string> texts;

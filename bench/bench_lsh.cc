@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -146,25 +147,13 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("out", "BENCH_lsh.json", "where to write the JSON report")
       .AddInt("max-docs", 500000,
-              "largest corpus in the 1k..500k sweep to run (>= 1)")
-      .AddBool("help", false, "show usage");
-  const Status parse_status = flags.Parse(argc, argv);
-  std::string error;
-  if (!parse_status.ok()) {
-    error = parse_status.ToString();
-  } else if (!flags.positional().empty()) {
-    error = "unexpected argument '" + flags.positional().front() + "'";
-  } else if (flags.GetInt("max-docs") < 1) {
-    error = "--max-docs must be >= 1";
+              "largest corpus in the 1k..500k sweep to run (>= 1)");
+  if (const std::optional<int> exit_code =
+          bench::ParseBenchFlags(&flags, argc, argv, "bench_lsh")) {
+    return *exit_code;
   }
-  if (!error.empty()) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                 flags.Usage("bench_lsh").c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fputs(flags.Usage("bench_lsh").c_str(), stdout);
-    return 0;
+  if (flags.GetInt("max-docs") < 1) {
+    return bench::UsageError(flags, "bench_lsh", "--max-docs must be >= 1");
   }
   const std::string out_path = flags.GetString("out");
   const size_t max_docs = static_cast<size_t>(flags.GetInt("max-docs"));

@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "io/json_writer.h"
+#include "util/flags.h"
 #include "util/status.h"
 
 namespace infoshield {
@@ -53,6 +55,31 @@ int BenchJson::Finish(const std::string& path) {
   }
   std::printf("wrote %s\n", path.c_str());
   return 0;
+}
+
+int UsageError(const FlagParser& flags, const std::string& program,
+               const std::string& error) {
+  std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
+               flags.Usage(program).c_str());
+  return 2;
+}
+
+std::optional<int> ParseBenchFlags(FlagParser* flags, int argc,
+                                   const char* const* argv,
+                                   const std::string& program) {
+  flags->AddBool("help", false, "show usage");
+  const Status status = flags->Parse(argc, argv);
+  if (!status.ok()) return UsageError(*flags, program, status.ToString());
+  if (!flags->positional().empty()) {
+    return UsageError(*flags, program,
+                      "unexpected argument '" +
+                          flags->positional().front() + "'");
+  }
+  if (flags->GetBool("help")) {
+    std::fputs(flags->Usage(program).c_str(), stdout);
+    return 0;
+  }
+  return std::nullopt;
 }
 
 }  // namespace bench

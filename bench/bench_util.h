@@ -5,12 +5,14 @@
 
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/infoshield.h"
 #include "eval/metrics.h"
 #include "io/json_writer.h"
+#include "util/flags.h"
 
 namespace infoshield {
 namespace bench {
@@ -49,6 +51,20 @@ class BenchJson {
  private:
   JsonWriter writer_;
 };
+
+// Prints "error: <error>" and the usage of `program` to stderr; returns
+// 2, the exit code of a rejected command line.
+int UsageError(const FlagParser& flags, const std::string& program,
+               const std::string& error);
+
+// Registers --help on `flags` (which holds the bench's own flags) and
+// parses argv into it. Returns the code main() must exit with now — 0
+// after printing usage for --help, 2 (via UsageError) for a malformed
+// flag or any positional argument — or nullopt when the bench should
+// run.
+std::optional<int> ParseBenchFlags(FlagParser* flags, int argc,
+                                   const char* const* argv,
+                                   const std::string& program);
 
 // Binary metrics of an InfoShield run against per-document truth.
 inline BinaryMetrics ScoreRun(const InfoShieldResult& result,

@@ -37,9 +37,11 @@ namespace infoshield {
 //    structure. Components are the connected components of the
 //    "shares a band bucket" relation.
 //
-// Both backends emit through the same CoarseEdgeAccumulator replay and
-// EmitCoarseComponents, so downstream fine-stage code is untouched and
-// both are byte-identical across thread counts.
+// Both backends emit through EmitCoarseComponents, so downstream
+// fine-stage code is untouched, and both are byte-identical across
+// thread counts. The tf-idf backend replays its edges through
+// CoarseEdgeAccumulator; the LSH backend unions each sorted bucket's
+// members, which gives the same components as that replay would.
 enum class CoarseBackend : uint8_t {
   kTfidfGraph = 0,
   kMinhashLsh = 1,
@@ -91,7 +93,8 @@ struct CoarseStageStats {
   double index_seconds = 0.0;
   // Per-document top-phrase selection + bipartite-edge generation.
   double top_phrase_seconds = 0.0;
-  // Canonical-order edge replay into the UnionFind.
+  // Building the UnionFind: the canonical-order edge replay (tf-idf),
+  // or the per-bucket unions over the sorted bucket run (LSH).
   double graph_seconds = 0.0;
   // Component extraction and cluster/singleton emission.
   double components_seconds = 0.0;
@@ -99,8 +102,10 @@ struct CoarseStageStats {
   size_t parallel_threads = 1;
   // MinHash/LSH backend phases and bucket diagnostics (all 0 on the
   // tf-idf backend; index/top_phrase are 0 on the LSH backend).
-  double signature_seconds = 0.0;  // MinHash signature computation
-  double bucket_seconds = 0.0;     // banded bucketing (LshIndex::Build)
+  double signature_seconds = 0.0;  // MinHash signatures + band keys
+  // Sorting the band keys into the bucket run
+  // (LshIndex::BuildFromBandKeys) and its bucket statistics.
+  double bucket_seconds = 0.0;
   size_t lsh_buckets = 0;          // distinct occupied (band, bucket) keys
   size_t lsh_max_bucket = 0;       // fullest bucket (hub diagnostic)
   size_t lsh_candidate_pairs = 0;  // sum over buckets of C(size, 2)

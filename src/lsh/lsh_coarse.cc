@@ -1,6 +1,8 @@
 #include "lsh/lsh_coarse.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/union_find.h"
@@ -25,13 +27,13 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
   result.stats.parallel_threads = threads;
 
-  // Signatures + band keys: a pure per-document function of (tokens,
-  // hash family), so workers own contiguous chunks and write only their
-  // chunk's slots — no shared mutable state, no df-style barrier, and
-  // the result is independent of the thread count by construction.
+  // Band keys: a pure per-document function of (tokens, hash family),
+  // so workers own contiguous chunks and write only their chunk's
+  // slots — no shared mutable state, no df-style barrier, and the
+  // result is independent of the thread count by construction. The
+  // signature is dropped as soon as its keys are cut.
   WallTimer timer;
   const MinHashFamily family(options.minhash);
-  std::vector<MinHashSignature> signatures(n);
   result.doc_top_phrases.resize(n);
   const size_t num_chunks = std::min(n, threads * 4);
   ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
@@ -41,39 +43,41 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
       // analyzer: allow(hot-loop-alloc) -- Signature/BandKeys return
       // their per-document vectors by value (one move per document,
       // the API contract).
-      signatures[d] = family.Signature(corpus.docs()[d].tokens);
-      result.doc_top_phrases[d] = BandKeys(signatures[d], options.lsh);
+      result.doc_top_phrases[d] =
+          BandKeys(family.Signature(corpus.docs()[d].tokens), options.lsh);
     }
   });
+  for (const std::vector<PhraseHash>& keys : result.doc_top_phrases) {
+    result.num_edges += keys.size();
+  }
   result.stats.signature_seconds = timer.ElapsedSeconds();
 
-  // Banded bucketing, for the candidate-pair diagnostics the sub-linear
-  // claim is measured by (and the Query primitive a serving layer
-  // needs). The canonical replay below does NOT read the index — bucket
-  // member order is scheduling-dependent and nothing deterministic may
-  // come from it.
+  // The sorted bucket run: its bucket statistics, and the buckets the
+  // components come from.
   timer.Restart();
   LshIndex index(options.minhash, options.lsh);
-  index.Build(signatures, threads);
+  index.BuildFromBandKeys(result.doc_top_phrases, threads);
   const LshIndex::Stats bucket_stats = index.ComputeStats();
   result.stats.lsh_buckets = bucket_stats.num_buckets;
   result.stats.lsh_max_bucket = bucket_stats.max_bucket;
   result.stats.lsh_candidate_pairs = bucket_stats.candidate_pairs;
   result.stats.bucket_seconds = timer.ElapsedSeconds();
 
-  // Canonical (doc, band-key) replay in ascending document order — the
-  // band-key analogue of the tf-idf backend's (doc, phrase-rank) order.
-  // Documents sharing a bucket key union through the key's anchor
-  // document; max_phrase_degree caps bucket degree identically on every
-  // path because the edge sequence is identical on every path.
+  // Documents sharing a bucket are unioned through the bucket's first
+  // (smallest) document. This is the canonical doc-major (doc, band key)
+  // edge replay through CoarseEdgeAccumulator without the hash maps: that
+  // replay meets each key's documents in ascending order, anchors the key
+  // on the first and drops every Add past max_phrase_degree — exactly the
+  // bucket's first min(size, cap) entries, duplicates included.
   timer.Restart();
   UnionFind uf(n);
-  CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
-  for (DocId d = 0; d < n; ++d) {
-    for (const PhraseHash key : result.doc_top_phrases[d]) {
-      ++result.num_edges;
-      edges.Add(d, key);
-    }
+  const size_t cap = options.max_phrase_degree == 0
+                         ? SIZE_MAX
+                         : options.max_phrase_degree;
+  for (size_t b = 0; b < index.num_buckets(); ++b) {
+    const std::span<const DocId> members = index.bucket(b);
+    const size_t kept = std::min(members.size(), cap);
+    for (size_t i = 1; i < kept; ++i) uf.Union(members[0], members[i]);
   }
   result.stats.graph_seconds = timer.ElapsedSeconds();
 

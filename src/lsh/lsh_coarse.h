@@ -1,13 +1,14 @@
 // MinHash/LSH coarse backend driver (DESIGN.md §16).
 //
-// Pipeline: tokenized corpus -> per-document MinHash signatures (pure,
-// fanned across the thread pool) -> band bucket keys -> canonical
-// doc-major edge replay through CoarseEdgeAccumulator -> connected
-// components via EmitCoarseComponents. The replay consumes (doc, band
-// key) edges in exactly the order the serial loop produces them, so —
-// as with the tf-idf backend's (doc, phrase-rank) replay — output is
-// byte-identical at any thread count and the max_phrase_degree hub cap
-// drops the same edges on every path.
+// Pipeline: tokenized corpus -> per-document band bucket keys (MinHash
+// signatures cut into bands, fanned across the thread pool) -> one
+// LshIndex run sorted by (key, doc) -> each bucket's documents unioned
+// with its first document -> connected components via
+// EmitCoarseComponents. The run's contents do not depend on the thread
+// count, and its buckets list the (doc, band key) edges in the
+// canonical doc-major replay order, so output is byte-identical at any
+// thread count and the max_phrase_degree hub cap keeps the same first
+// edges of each bucket that CoarseEdgeAccumulator would (DESIGN.md §16).
 //
 // CoarseResult::doc_top_phrases carries each document's band keys, so
 // the fine stage's phrase-sharing neighbor seeding transparently

@@ -1,6 +1,9 @@
 #include "lsh/lsh_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -49,57 +52,112 @@ std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
   return keys;
 }
 
+namespace {
+
+// One (bucket key, document) pair of the run. Ordered by key, then doc,
+// so a sorted run lists each bucket's members in ascending DocId order.
+struct BucketEntry {
+  uint64_t key;
+  DocId doc;
+
+  bool operator<(const BucketEntry& other) const {
+    return key != other.key ? key < other.key : doc < other.doc;
+  }
+};
+
+}  // namespace
+
 void LshIndex::Build(const std::vector<MinHashSignature>& signatures,
                      size_t num_threads) {
   const size_t n = signatures.size();
-  if (n == 0) return;
   const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
-  const size_t num_chunks = std::min(n, threads * 4);
-  // Each worker owns a contiguous chunk of documents, accumulates its
-  // bucket inserts into a private shard-partitioned buffer, and flushes
-  // each shard under that shard's Mutex exactly once, so lock traffic is
-  // O(shards) per chunk instead of O(docs * bands).
+  const size_t num_chunks = std::min(n, threads);
+  std::vector<std::vector<uint64_t>> band_keys(n);
   ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-    const size_t begin = chunk * n / num_chunks;
     const size_t end = (chunk + 1) * n / num_chunks;
-    std::array<std::unordered_map<uint64_t, std::vector<DocId>>, kNumShards>
-        local;
-    // Most band keys are unique (non-duplicate documents never share
-    // one), so size each local shard for the worst case up front —
-    // growing a multi-million-entry map through rehashes dominates the
-    // build otherwise.
-    const size_t expected = (end - begin) * params_.bands / kNumShards + 1;
-    // determinism: reserve() only — no elements exist yet, nothing to
-    // observe in any order.
-    for (auto& shard : local) shard.reserve(expected);
-    for (size_t d = begin; d < end; ++d) {
-      const std::vector<uint64_t> keys = BandKeys(signatures[d], params_);
-      for (const uint64_t key : keys) {
-        local[ShardOf(key)][key].push_back(static_cast<DocId>(d));
-      }
-    }
-    for (size_t s = 0; s < kNumShards; ++s) {
-      if (local[s].empty()) continue;
-      MutexLock lock(&shards_[s].mu);
-      // determinism: merge order only affects bucket-internal member
-      // order, which no reader observes unsorted (see header).
-      for (auto& [key, docs] : local[s]) {
-        std::vector<DocId>& bucket = shards_[s].buckets[key];
-        bucket.insert(bucket.end(), docs.begin(), docs.end());
-      }
+    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
+      band_keys[d] = BandKeys(signatures[d], params_);
     }
   });
+  BuildFromBandKeys(band_keys, threads);
+}
+
+// analyzer: hot
+void LshIndex::BuildFromBandKeys(
+    const std::vector<std::vector<uint64_t>>& band_keys, size_t num_threads) {
+  CHECK(keys_.empty() && offsets_.empty() && docs_.empty())
+      << "LshIndex may be built once";
+  const size_t n = band_keys.size();
+  if (n == 0) return;
+  CHECK(n <= Corpus::kMaxDocuments) << "more documents than DocId can name";
+  const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
+  const size_t num_chunks = std::min(n, threads);
+
+  // Chunk c owns documents [c * n / num_chunks, (c + 1) * n / num_chunks)
+  // and entries [chunk_begin[c], chunk_begin[c + 1]) of the run.
+  std::vector<size_t> chunk_begin(num_chunks + 1, 0);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    size_t entries = 0;
+    const size_t end = (c + 1) * n / num_chunks;
+    for (size_t d = c * n / num_chunks; d < end; ++d) {
+      entries += band_keys[d].size();
+    }
+    chunk_begin[c + 1] = chunk_begin[c] + entries;
+  }
+  const size_t total = chunk_begin[num_chunks];
+
+  // Each chunk fills and sorts only its own slice of the run; the sorted
+  // slices then merge pairwise (each round's merges in parallel). Every
+  // (key, doc) pair lands in the same place whichever thread wrote it.
+  std::vector<BucketEntry> run(total);
+  ThreadPool::ParallelFor(threads, num_chunks, [&](size_t c) {
+    size_t e = chunk_begin[c];
+    const size_t end = (c + 1) * n / num_chunks;
+    for (size_t d = c * n / num_chunks; d < end; ++d) {
+      for (const uint64_t key : band_keys[d]) {
+        run[e++] = {key, static_cast<DocId>(d)};
+      }
+    }
+    std::sort(run.begin() + chunk_begin[c], run.begin() + chunk_begin[c + 1]);
+  });
+  for (size_t width = 1; width < num_chunks; width *= 2) {
+    const size_t pairs = (num_chunks + 2 * width - 1) / (2 * width);
+    ThreadPool::ParallelFor(threads, pairs, [&](size_t p) {
+      const size_t lo = 2 * width * p;
+      const size_t mid = std::min(lo + width, num_chunks);
+      const size_t hi = std::min(lo + 2 * width, num_chunks);
+      std::inplace_merge(run.begin() + chunk_begin[lo],
+                         run.begin() + chunk_begin[mid],
+                         run.begin() + chunk_begin[hi]);
+    });
+  }
+
+  size_t distinct = 0;
+  for (size_t i = 0; i < total; ++i) {
+    if (i == 0 || run[i].key != run[i - 1].key) ++distinct;
+  }
+  keys_.reserve(distinct);
+  offsets_.reserve(distinct + 1);
+  docs_.resize(total);
+  for (size_t i = 0; i < total; ++i) {
+    if (i == 0 || run[i].key != run[i - 1].key) {
+      keys_.push_back(run[i].key);
+      offsets_.push_back(i);
+    }
+    docs_[i] = run[i].doc;
+  }
+  offsets_.push_back(total);
 }
 
 std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
   std::vector<DocId> out;
   const std::vector<uint64_t> keys = BandKeys(sig, params_);
   for (const uint64_t key : keys) {
-    const Shard& shard = shards_[ShardOf(key)];
-    MutexLock lock(&shard.mu);
-    auto it = shard.buckets.find(key);
-    if (it == shard.buckets.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    if (it == keys_.end() || *it != key) continue;
+    const std::span<const DocId> members =
+        bucket(static_cast<size_t>(it - keys_.begin()));
+    out.insert(out.end(), members.begin(), members.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -108,15 +166,11 @@ std::vector<DocId> LshIndex::Query(const MinHashSignature& sig) const {
 
 LshIndex::Stats LshIndex::ComputeStats() const {
   Stats stats;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    stats.num_buckets += shard.buckets.size();
-    // determinism: commutative aggregation (sum/max) only; no element
-    // order observed.
-    for (const auto& [key, docs] : shard.buckets) {
-      stats.max_bucket = std::max(stats.max_bucket, docs.size());
-      stats.candidate_pairs += docs.size() * (docs.size() - 1) / 2;
-    }
+  stats.num_buckets = keys_.size();
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    const size_t size = offsets_[i + 1] - offsets_[i];
+    stats.max_bucket = std::max(stats.max_bucket, size);
+    stats.candidate_pairs += size * (size - 1) / 2;
   }
   return stats;
 }

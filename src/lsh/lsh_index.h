@@ -8,30 +8,27 @@
 // probability 1 - (1 - J^rows)^bands for Jaccard J, the classic S-curve
 // with threshold ~ (1/bands)^(1/rows).
 //
-// The index is the queryable side of the coarse backend: Build fans
-// signature bucketing across workers into hash-sharded buckets (shard
-// state GUARDED_BY its Mutex; each worker batches per shard so a flush
-// takes every shard lock at most once),
-// and Query returns the sorted candidate set for a probe signature.
-// Insertion order inside a bucket is scheduling-dependent, so nothing
-// deterministic may be derived from bucket member order — Query sorts,
-// and the coarse backend never reads the index for its canonical edge
-// replay (lsh_coarse.cc replays doc-major band keys instead).
+// The index is one flat run sorted by (key, doc): the distinct keys in
+// ascending order, each with the ascending DocIds of its bucket
+// (a document listed as often as it holds the key). Build fills the
+// run in document order, sorts per-thread chunks and merges them, so
+// it holds no lock and no hash table, and its contents — member order
+// included — are a pure function of the band keys, whatever the thread
+// count. The coarse backend reads its components straight from the
+// buckets; Query answers "which documents share a bucket with this
+// signature" by binary search.
 
 #ifndef INFOSHIELD_LSH_LSH_INDEX_H_
 #define INFOSHIELD_LSH_LSH_INDEX_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "lsh/minhash.h"
 #include "text/corpus.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace infoshield {
 
@@ -51,21 +48,12 @@ struct LshParams {
 
 // The bands 64-bit bucket keys of one signature, band-major. Empty for
 // an empty signature. Pure; shared by Build, Query, and the coarse
-// backend's canonical replay.
+// backend.
 std::vector<uint64_t> BandKeys(const MinHashSignature& sig,
                                const LshParams& params);
 
 class LshIndex {
  public:
-  // Sharded like the df snapshot table (DfSnapshot::ShardOf): power of
-  // two, selected by the bucket key's top bits so shard choice stays
-  // independent of the unordered_map's low-bit bucketing.
-  static constexpr size_t kNumShards = 64;
-
-  static constexpr size_t ShardOf(uint64_t key) {
-    return static_cast<size_t>(key >> 58) & (kNumShards - 1);
-  }
-
   struct Stats {
     // Distinct (band, bucket) keys holding at least one document.
     size_t num_buckets = 0;
@@ -83,11 +71,19 @@ class LshIndex {
   LshIndex& operator=(const LshIndex&) = delete;
 
   // Buckets every signature (indexed by DocId) across `num_threads`
-  // workers (1 = sequential, 0 = hardware concurrency). Signatures with
-  // no components (empty documents) occupy no bucket. May be called
-  // once per index.
+  // workers (1 = sequential, 0 = hardware concurrency): computes each
+  // document's BandKeys and calls BuildFromBandKeys. Signatures with no
+  // components (empty documents) occupy no bucket. May be called once
+  // per index.
   void Build(const std::vector<MinHashSignature>& signatures,
              size_t num_threads);
+
+  // Buckets doc-major band keys: band_keys[d] holds document d's keys
+  // (BandKeys of its signature; empty for an empty document). The one
+  // build implementation; the result does not depend on `num_threads`.
+  // May be called once per index.
+  void BuildFromBandKeys(const std::vector<std::vector<uint64_t>>& band_keys,
+                         size_t num_threads);
 
   // DocIds sharing at least one band bucket with `sig`, sorted
   // ascending, deduplicated. The probe itself is not inserted. This is
@@ -95,22 +91,28 @@ class LshIndex {
   // existing one" pre-filter uses.
   std::vector<DocId> Query(const MinHashSignature& sig) const;
 
-  // Aggregate bucket statistics (scans all shards; call after Build).
+  // Aggregate bucket statistics (one scan over the bucket offsets).
   Stats ComputeStats() const;
+
+  // Buckets in ascending key order; bucket(i) lists the documents
+  // holding the i-th smallest key, ascending, a document once per
+  // occurrence of the key among its band keys.
+  size_t num_buckets() const { return keys_.size(); }
+  std::span<const DocId> bucket(size_t i) const {
+    return {docs_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
 
   const MinHashParams& minhash_params() const { return minhash_; }
   const LshParams& params() const { return params_; }
 
  private:
-  struct Shard {
-    // mutable so Query/ComputeStats (logically const reads) can lock.
-    mutable Mutex mu;
-    std::unordered_map<uint64_t, std::vector<DocId>> buckets GUARDED_BY(mu);
-  };
-
   MinHashParams minhash_;
   LshParams params_;
-  std::array<Shard, kNumShards> shards_;
+  std::vector<uint64_t> keys_;  // distinct, ascending
+  // Bucket i is docs_[offsets_[i], offsets_[i + 1]); size_t because
+  // docs x bands can pass 2^32 near Corpus::kMaxDocuments.
+  std::vector<size_t> offsets_;
+  std::vector<DocId> docs_;
 };
 
 }  // namespace infoshield

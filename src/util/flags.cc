@@ -20,6 +20,7 @@ FlagParser& FlagParser::AddString(const std::string& name,
   Flag f;
   f.type = FlagType::kString;
   f.help = std::move(help);
+  f.default_repr = "\"" + default_value + "\"";
   f.string_value = std::move(default_value);
   return Register(name, std::move(f));
 }
@@ -30,6 +31,7 @@ FlagParser& FlagParser::AddInt(const std::string& name, int64_t default_value,
   f.type = FlagType::kInt;
   f.help = std::move(help);
   f.int_value = default_value;
+  f.default_repr = std::to_string(default_value);
   return Register(name, std::move(f));
 }
 
@@ -39,6 +41,7 @@ FlagParser& FlagParser::AddDouble(const std::string& name,
   f.type = FlagType::kDouble;
   f.help = std::move(help);
   f.double_value = default_value;
+  f.default_repr = FormatDouble(default_value, 4);
   return Register(name, std::move(f));
 }
 
@@ -48,6 +51,7 @@ FlagParser& FlagParser::AddBool(const std::string& name, bool default_value,
   f.type = FlagType::kBool;
   f.help = std::move(help);
   f.bool_value = default_value;
+  f.default_repr = default_value ? "true" : "false";
   return Register(name, std::move(f));
 }
 
@@ -156,28 +160,23 @@ bool FlagParser::GetBool(const std::string& name) const {
 std::string FlagParser::Usage(const std::string& program_name) const {
   std::string out = "usage: " + program_name + " [flags] [positional...]\n";
   for (const auto& [name, flag] : flags_) {
-    std::string default_repr;
     const char* type_name = "";
     switch (flag.type) {
       case FlagType::kString:
         type_name = "string";
-        default_repr = "\"" + flag.string_value + "\"";
         break;
       case FlagType::kInt:
         type_name = "int";
-        default_repr = std::to_string(flag.int_value);
         break;
       case FlagType::kDouble:
         type_name = "double";
-        default_repr = FormatDouble(flag.double_value, 4);
         break;
       case FlagType::kBool:
         type_name = "bool";
-        default_repr = flag.bool_value ? "true" : "false";
         break;
     }
     out += StrFormat("  --%-24s (%s, default %s)\n      %s\n", name.c_str(),
-                     type_name, default_repr.c_str(), flag.help.c_str());
+                     type_name, flag.default_repr.c_str(), flag.help.c_str());
   }
   return out;
 }

@@ -41,7 +41,8 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // Usage text listing every flag, its type, default, and help string.
+  // Usage text listing every flag, its type, the default it was
+  // registered with (not the parsed value), and its help string.
   std::string Usage(const std::string& program_name) const;
 
  private:
@@ -54,6 +55,8 @@ class FlagParser {
     int64_t int_value = 0;
     double double_value = 0.0;
     bool bool_value = false;
+    // The registered default as Usage prints it.
+    std::string default_repr;
   };
 
   FlagParser& Register(const std::string& name, Flag flag);

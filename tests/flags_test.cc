@@ -103,6 +103,25 @@ TEST(FlagsTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(usage.find("a double flag"), std::string::npos);
 }
 
+TEST(FlagsTest, UsageShowsRegisteredDefaultsAfterParse) {
+  // Parsed values must not leak into the defaults Usage prints (a
+  // bare --verbose used to show up as "default true").
+  FlagParser p = MakeParser();
+  const char* argv[] = {"prog", "--name=x", "--count=0", "--ratio=9",
+                        "--verbose"};
+  ASSERT_TRUE(p.Parse(5, argv).ok());
+  EXPECT_EQ(p.GetInt("count"), 0);
+  const std::string usage = p.Usage("tool");
+  EXPECT_NE(usage.find("(string, default \"default\")"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("(int, default 7)"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(double, default 0.5"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("(bool, default false)"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("default 0)"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("default true"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("\"x\""), std::string::npos) << usage;
+}
+
 TEST(FlagsDeathTest, UnregisteredAccessDies) {
   FlagParser p = MakeParser();
   EXPECT_DEATH(p.GetInt("missing"), "unregistered");

@@ -1,11 +1,16 @@
 // MinHash/LSH backend math and contract tests (DESIGN.md §16): the
 // Jaccard-estimate concentration the banding threshold rests on,
-// parameter validation, banding structure, thread-count determinism of
-// the full kMinhashLsh coarse path, and the empty/degenerate corpora
-// the backend must not trip over.
+// parameter validation, banding structure, the sorted bucket run
+// against brute-force and naive-count references, the full kMinhashLsh
+// coarse path against the doc-major CoarseEdgeAccumulator replay it
+// replaces (with and without a degree cap), thread-count determinism,
+// and the empty/degenerate corpora the backend must not trip over.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -13,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "datagen/neardup_gen.h"
+#include "graph/union_find.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
 #include "text/corpus.h"
@@ -173,6 +180,188 @@ TEST(LshIndexTest, QueryFindsCoBucketedDocuments) {
   EXPECT_EQ(stats.candidate_pairs, 4u);
 }
 
+// --- the sorted bucket run --------------------------------------------
+
+const size_t kThreadCounts[] = {1, 2, 3, 4, 8};
+
+// Near-duplicate families plus the degenerate documents the run must
+// carry: an exact duplicate, an empty document, and a one-token one.
+Corpus BucketCorpus() {
+  NearDupGenOptions options;
+  options.num_families = 6;
+  options.family_size_min = 2;
+  options.family_size_max = 6;
+  options.template_tokens = 12;
+  options.num_noise = 10;
+  options.vocab_size = 400;
+  Corpus corpus = GenerateNearDupFamilies(options, /*seed=*/5).corpus;
+  const std::string duplicate = corpus.docs()[0].raw;
+  corpus.Add(duplicate);
+  corpus.Add("");
+  corpus.Add("lonely");
+  return corpus;
+}
+
+std::vector<MinHashSignature> Signatures(const Corpus& corpus,
+                                         const MinHashParams& params) {
+  const MinHashFamily family(params);
+  std::vector<MinHashSignature> signatures;
+  for (const Document& doc : corpus.docs()) {
+    signatures.push_back(family.Signature(doc.tokens));
+  }
+  return signatures;
+}
+
+// Every bucket, keyed by band key, members in document order with
+// repeats: what the run must hold, bucket for bucket in key order.
+std::map<uint64_t, std::vector<DocId>> NaiveBuckets(
+    const std::vector<std::vector<uint64_t>>& band_keys) {
+  std::map<uint64_t, std::vector<DocId>> buckets;
+  for (size_t d = 0; d < band_keys.size(); ++d) {
+    for (const uint64_t key : band_keys[d]) {
+      buckets[key].push_back(static_cast<DocId>(d));
+    }
+  }
+  return buckets;
+}
+
+void ExpectRunHolds(const LshIndex& index,
+                    const std::map<uint64_t, std::vector<DocId>>& expected,
+                    size_t threads) {
+  ASSERT_EQ(index.num_buckets(), expected.size()) << "threads=" << threads;
+  size_t i = 0;
+  for (const auto& bucket : expected) {
+    const std::span<const DocId> members = index.bucket(i);
+    EXPECT_EQ(std::vector<DocId>(members.begin(), members.end()),
+              bucket.second)
+        << "bucket " << i << " threads=" << threads;
+    ++i;
+  }
+}
+
+TEST(LshIndexTest, RunHoldsEveryBucketInKeyThenDocOrder) {
+  const Corpus corpus = BucketCorpus();
+  const MinHashParams params;
+  const LshParams banding;
+  const std::vector<MinHashSignature> signatures =
+      Signatures(corpus, params);
+  std::vector<std::vector<uint64_t>> band_keys;
+  for (const MinHashSignature& sig : signatures) {
+    band_keys.push_back(BandKeys(sig, banding));
+  }
+  const auto expected = NaiveBuckets(band_keys);
+  for (size_t threads : kThreadCounts) {
+    LshIndex from_signatures(params, banding);
+    from_signatures.Build(signatures, threads);
+    ExpectRunHolds(from_signatures, expected, threads);
+    LshIndex from_keys(params, banding);
+    from_keys.BuildFromBandKeys(band_keys, threads);
+    ExpectRunHolds(from_keys, expected, threads);
+  }
+}
+
+TEST(LshIndexTest, BuildFromBandKeysKeepsRepeatedKeys) {
+  // A document holding a key twice is listed twice, consecutively.
+  const std::vector<std::vector<uint64_t>> band_keys = {
+      {5, 5, 7}, {5}, {}, {7, 5}, {9}};
+  for (size_t threads : kThreadCounts) {
+    LshIndex index(MinHashParams{}, LshParams{});
+    index.BuildFromBandKeys(band_keys, threads);
+    ExpectRunHolds(index, NaiveBuckets(band_keys), threads);
+    const LshIndex::Stats stats = index.ComputeStats();
+    EXPECT_EQ(stats.num_buckets, 3u);
+    EXPECT_EQ(stats.max_bucket, 4u);           // key 5: docs 0, 0, 1, 3
+    EXPECT_EQ(stats.candidate_pairs, 6u + 1u);  // C(4,2) + C(2,2) + 0
+  }
+}
+
+TEST(LshIndexTest, ComputeStatsMatchesNaiveCount) {
+  const Corpus corpus = BucketCorpus();
+  const MinHashParams params;
+  const LshParams banding;
+  const std::vector<MinHashSignature> signatures =
+      Signatures(corpus, params);
+  std::map<uint64_t, size_t> counts;
+  for (const MinHashSignature& sig : signatures) {
+    for (const uint64_t key : BandKeys(sig, banding)) ++counts[key];
+  }
+  LshIndex::Stats expected;
+  expected.num_buckets = counts.size();
+  for (const auto& [key, count] : counts) {
+    expected.max_bucket = std::max(expected.max_bucket, count);
+    expected.candidate_pairs += count * (count - 1) / 2;
+  }
+  ASSERT_GT(expected.max_bucket, 2u) << "corpus should have families";
+  for (size_t threads : kThreadCounts) {
+    LshIndex index(params, banding);
+    index.Build(signatures, threads);
+    const LshIndex::Stats stats = index.ComputeStats();
+    EXPECT_EQ(stats.num_buckets, expected.num_buckets) << threads;
+    EXPECT_EQ(stats.max_bucket, expected.max_bucket) << threads;
+    EXPECT_EQ(stats.candidate_pairs, expected.candidate_pairs) << threads;
+  }
+}
+
+TEST(LshIndexTest, QueryMatchesBruteForceScan) {
+  const Corpus corpus = BucketCorpus();
+  const MinHashParams params;
+  const LshParams banding;
+  const MinHashFamily family(params);
+  const std::vector<MinHashSignature> signatures =
+      Signatures(corpus, params);
+  std::vector<MinHashSignature> probes = signatures;
+  probes.push_back(family.Signature(TokenRange(100000, 100030)));  // unseen
+  probes.push_back(MinHashSignature{});                             // empty
+
+  for (size_t threads : kThreadCounts) {
+    LshIndex index(params, banding);
+    index.Build(signatures, threads);
+    for (size_t p = 0; p < probes.size(); ++p) {
+      const std::vector<uint64_t> probe_keys = BandKeys(probes[p], banding);
+      std::vector<DocId> expected;
+      for (size_t d = 0; d < signatures.size(); ++d) {
+        for (const uint64_t key : BandKeys(signatures[d], banding)) {
+          if (std::find(probe_keys.begin(), probe_keys.end(), key) !=
+              probe_keys.end()) {
+            expected.push_back(static_cast<DocId>(d));
+            break;
+          }
+        }
+      }
+      EXPECT_EQ(index.Query(probes[p]), expected)
+          << "probe " << p << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LshIndexTest, EmptyAndTinyInputs) {
+  const MinHashParams params;
+  const LshParams banding;
+  const MinHashFamily family(params);
+  for (size_t threads : kThreadCounts) {
+    LshIndex none(params, banding);
+    none.Build({}, threads);
+    EXPECT_EQ(none.num_buckets(), 0u);
+    EXPECT_EQ(none.ComputeStats().candidate_pairs, 0u);
+    EXPECT_TRUE(none.Query(family.Signature(TokenRange(0, 10))).empty());
+
+    // Only empty documents: nothing to bucket.
+    LshIndex blank(params, banding);
+    blank.Build({MinHashSignature{}, MinHashSignature{}}, threads);
+    EXPECT_EQ(blank.ComputeStats().num_buckets, 0u);
+
+    // One document: one bucket per band, each a singleton.
+    LshIndex one(params, banding);
+    one.Build({family.Signature(TokenRange(0, 10))}, threads);
+    const LshIndex::Stats stats = one.ComputeStats();
+    EXPECT_EQ(stats.num_buckets, banding.bands);
+    EXPECT_EQ(stats.max_bucket, 1u);
+    EXPECT_EQ(stats.candidate_pairs, 0u);
+    EXPECT_EQ(one.Query(family.Signature(TokenRange(0, 10))),
+              (std::vector<DocId>{0}));
+  }
+}
+
 // --- full kMinhashLsh coarse path ------------------------------------
 
 Corpus DuplicateFamilyCorpus() {
@@ -228,6 +417,85 @@ TEST(LshCoarseTest, EmptyAndSingleDocCorpora) {
   const CoarseResult single = RunLsh(one, 4);
   EXPECT_TRUE(single.clusters.empty());
   EXPECT_EQ(single.singletons, (std::vector<DocId>{0}));
+}
+
+// The coarse LSH path as it was written before the sorted bucket run:
+// MinHash signatures and band keys per document, then every (doc, band
+// key) edge replayed in ascending-doc order through
+// CoarseEdgeAccumulator's anchor/degree maps. Kept as the reference the
+// bucket-union path must reproduce.
+CoarseResult ReplayReference(const Corpus& corpus,
+                             const CoarseOptions& options) {
+  CoarseResult result;
+  const MinHashFamily family(options.minhash);
+  UnionFind uf(corpus.size());
+  CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
+  for (const Document& doc : corpus.docs()) {
+    for (const uint64_t key :
+         BandKeys(family.Signature(doc.tokens), options.lsh)) {
+      ++result.num_edges;
+      edges.Add(doc.id, key);
+    }
+  }
+  if (corpus.size() > 0) EmitCoarseComponents(uf, options, &result);
+  return result;
+}
+
+void ExpectMatchesReplay(const Corpus& corpus, const std::string& label) {
+  for (size_t cap : {0u, 1u, 3u}) {
+    CoarseOptions options;
+    options.backend = CoarseBackend::kMinhashLsh;
+    options.max_phrase_degree = cap;
+    const CoarseResult reference = ReplayReference(corpus, options);
+    for (size_t threads : kThreadCounts) {
+      options.num_threads = threads;
+      const CoarseResult run = CoarseClustering(options).Run(corpus);
+      EXPECT_EQ(run.clusters, reference.clusters)
+          << label << " cap=" << cap << " threads=" << threads;
+      EXPECT_EQ(run.singletons, reference.singletons)
+          << label << " cap=" << cap << " threads=" << threads;
+      EXPECT_EQ(run.num_edges, reference.num_edges)
+          << label << " cap=" << cap << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LshCoarseTest, BucketUnionsMatchCanonicalReplay) {
+  ExpectMatchesReplay(BucketCorpus(), "families");
+  ExpectMatchesReplay(DuplicateFamilyCorpus(), "duplicates");
+}
+
+TEST(LshCoarseTest, DegreeCapSplitsLargeBuckets) {
+  // Six exact duplicates share every bucket. Capped at 3, only the
+  // first three documents of each bucket join; the rest stay apart.
+  Corpus corpus;
+  for (int i = 0; i < 6; ++i) corpus.Add("the same ad posted six times");
+  CoarseOptions options;
+  options.backend = CoarseBackend::kMinhashLsh;
+  options.max_phrase_degree = 3;
+  const CoarseResult result = CoarseClustering(options).Run(corpus);
+  ASSERT_EQ(result.clusters.size(), 1u);
+  EXPECT_EQ(result.clusters[0], (std::vector<DocId>{0, 1, 2}));
+  EXPECT_EQ(result.singletons, (std::vector<DocId>{3, 4, 5}));
+}
+
+TEST(LshCoarseTest, DegenerateCorporaMatchCanonicalReplay) {
+  Corpus one;
+  one.Add("a single lonely document");
+  ExpectMatchesReplay(one, "one doc");
+
+  // Fewer documents than threads, with an empty document between two
+  // duplicates.
+  Corpus few;
+  few.Add("short duplicate text");
+  few.Add("");
+  few.Add("short duplicate text");
+  ExpectMatchesReplay(few, "few docs");
+
+  Corpus blank;
+  blank.Add("");
+  blank.Add("");
+  ExpectMatchesReplay(blank, "empty docs");
 }
 
 TEST(LshCoarseTest, StatsReportBucketsAndPairs) {

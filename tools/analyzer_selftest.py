@@ -96,7 +96,6 @@ REQUIRED_GRAPH_NODES = (
     "ThreadPool::mutex_",
     "logging::g_severity_mu",
     "SnapshotDfTable::mu_",
-    "Shard::mu",
     "audit::g_stats_mu",
 )
 

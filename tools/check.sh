@@ -211,7 +211,7 @@ if [[ "$INCREMENTAL_ONLY" == "1" ]]; then
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
     -R 'IncrementalTest|SnapshotDfTableTest|fuzz_replay_diff_incremental'
   step "bench_incremental batch differential oracle"
-  ./build-asan/bench/bench_incremental build-asan/BENCH_incremental.json
+  ./build-asan/bench/bench_incremental --out build-asan/BENCH_incremental.json
   step "incremental gate passed"
   exit 0
 fi
