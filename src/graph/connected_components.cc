@@ -1,7 +1,6 @@
 #include "graph/connected_components.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 #include "util/audit.h"
 
@@ -9,23 +8,30 @@ namespace infoshield {
 
 Components ExtractComponents(UnionFind& uf, size_t min_component_size) {
   INFOSHIELD_AUDIT_INVARIANTS(uf.ValidateInvariants());
-  std::unordered_map<uint32_t, std::vector<uint32_t>> by_root;
+  // One pass in ascending element order: the first visit of a root is its
+  // smallest member, so a kept group gets the next output slot then and
+  // groups come out ordered by smallest member with no sort; members are
+  // appended in id order, so each group ascends. The union-find already
+  // knows each set's size, so a group is dropped or reserved up front.
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  constexpr uint32_t kDropped = UINT32_MAX - 1;
   const size_t n = uf.num_elements();
-  for (uint32_t i = 0; i < n; ++i) {
-    by_root[uf.Find(i)].push_back(i);
-  }
+  std::vector<uint32_t> slot_of_root(n, kUnseen);
   Components out;
-  out.groups.reserve(by_root.size());
-  // determinism: group order is canonicalized by the sort below; each
-  // member list is already ascending (inserted in id order).
-  for (auto& [root, members] : by_root) {
-    if (members.size() < min_component_size) continue;
-    out.groups.push_back(std::move(members));
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t root = uf.Find(i);
+    uint32_t& slot = slot_of_root[root];
+    if (slot == kUnseen) {
+      const uint32_t size = uf.SetSize(root);
+      if (size < min_component_size) {
+        slot = kDropped;
+      } else {
+        slot = static_cast<uint32_t>(out.groups.size());
+        out.groups.emplace_back().reserve(size);
+      }
+    }
+    if (slot != kDropped) out.groups[slot].push_back(i);
   }
-  std::sort(out.groups.begin(), out.groups.end(),
-            [](const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-              return a.front() < b.front();
-            });
   return out;
 }
 

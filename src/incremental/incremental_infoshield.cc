@@ -60,6 +60,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   // --- df delta: per-document-deduplicated phrase counts for the new
   // documents only, folded into the snapshot table. Additivity makes the
   // folded table equal a from-scratch build over all new_size documents.
+  // The delta keeps every phrase (min_df = 1): df 1 now can be 2 later.
   WallTimer timer;
   {
     DfRun delta =

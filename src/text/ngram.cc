@@ -32,6 +32,17 @@ std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n) {
   return out;
 }
 
+void AppendNgramHashes(const Document& doc, size_t min_n, size_t max_n,
+                       std::vector<PhraseHash>* out) {
+  const size_t len = doc.tokens.size();
+  for (size_t begin = 0; begin < len; ++begin) {
+    const size_t limit = std::min(max_n, len - begin);
+    for (size_t n = min_n; n <= limit; ++n) {
+      out->push_back(HashNgram(doc.tokens.data() + begin, n));
+    }
+  }
+}
+
 size_t NumNgrams(size_t len, size_t max_n) {
   const size_t k = std::min(max_n, len);
   return k * (len + 1) - k * (k + 1) / 2;

@@ -32,6 +32,12 @@ struct NgramSpan {
 // All n-grams of lengths 1..max_n in a document, in document order.
 std::vector<NgramSpan> ExtractNgrams(const Document& doc, size_t max_n);
 
+// Appends the hashes of a document's n-grams of lengths min_n..max_n
+// (min_n >= 1) to `out`, in ExtractNgrams' order, without the spans: the
+// counting loops reuse one buffer across documents.
+void AppendNgramHashes(const Document& doc, size_t min_n, size_t max_n,
+                       std::vector<PhraseHash>* out);
+
 // Number of n-grams of lengths 1..max_n in a document of `len` tokens
 // (the size of ExtractNgrams' result).
 size_t NumNgrams(size_t len, size_t max_n);

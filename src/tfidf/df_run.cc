@@ -1,7 +1,7 @@
 #include "tfidf/df_run.h"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 
 #include "util/thread_pool.h"
 
@@ -9,99 +9,119 @@ namespace infoshield {
 
 namespace {
 
-// analyzer: hot
-DfRun CountChunk(const Corpus& corpus, size_t begin, size_t end,
-                 size_t max_ngram) {
-  // The n-gram count bounds the per-document-distinct count, so one
-  // exact reservation holds every hash and the vector never regrows.
-  size_t bound = 0;
-  for (size_t d = begin; d < end; ++d) {
-    bound += NumNgrams(corpus.docs()[d].tokens.size(), max_ngram);
-  }
-  std::vector<PhraseHash> hashes;
-  hashes.reserve(bound);
-  for (size_t d = begin; d < end; ++d) {
-    const size_t first = hashes.size();
-    for (const NgramSpan& g : ExtractNgrams(corpus.docs()[d], max_ngram)) {
-      hashes.push_back(g.hash);
-    }
-    std::sort(hashes.begin() + first, hashes.end());
-    hashes.erase(std::unique(hashes.begin() + first, hashes.end()),
-                 hashes.end());
-  }
-  std::sort(hashes.begin(), hashes.end());
+// One chunk's per-document-distinct hashes, split by their top bits.
+using Buckets = std::vector<std::vector<PhraseHash>>;
 
-  size_t distinct = 0;
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    if (i == 0 || hashes[i] != hashes[i - 1]) ++distinct;
-  }
-  DfRun run;
-  run.keys.reserve(distinct);
-  run.counts.reserve(distinct);
-  for (size_t i = 0; i < hashes.size();) {
-    size_t j = i + 1;
-    while (j < hashes.size() && hashes[j] == hashes[i]) ++j;
-    run.keys.push_back(hashes[i]);
-    run.counts.push_back(static_cast<uint32_t>(j - i));
-    i = j;
-  }
-  return run;
+// A part finishes at least this many buckets, so inputs of under ~16k
+// hashes (an incremental delta) finish inline with no thread dispatch.
+constexpr size_t kMinBucketsPerPart = 16;
+
+// Top-bit count for `bound` hashes: about 1k hashes per bucket, so each
+// bucket sorts in cache, and at most 2^16 buckets.
+int BucketBits(size_t bound) {
+  return std::min(16, static_cast<int>(std::bit_width(bound >> 10)));
 }
 
-DfRun MergeRuns(std::vector<DfRun> runs) {
-  if (runs.size() == 1) return std::move(runs[0]);
-  // The same k-way walk runs twice: once to count the distinct keys, then
-  // to fill arrays of exactly that size. Each step emits the smallest
-  // head key with its counts summed over every run that holds it.
-  auto walk = [&runs](auto&& emit) {
-    std::vector<size_t> pos(runs.size(), 0);
-    while (true) {
-      bool any = false;
-      PhraseHash key = 0;
-      for (size_t r = 0; r < runs.size(); ++r) {
-        if (pos[r] == runs[r].keys.size()) continue;
-        if (!any || runs[r].keys[pos[r]] < key) key = runs[r].keys[pos[r]];
-        any = true;
-      }
-      if (!any) return;
-      uint32_t count = 0;
-      for (size_t r = 0; r < runs.size(); ++r) {
-        if (pos[r] < runs[r].keys.size() && runs[r].keys[pos[r]] == key) {
-          count += runs[r].counts[pos[r]++];
-        }
-      }
-      emit(key, count);
+// The bucket of a hash: its top `bits` bits. The shift is split so that
+// bits == 0 puts every hash in bucket 0 with no 64-bit shift.
+size_t BucketOf(PhraseHash hash, int bits) {
+  return static_cast<size_t>((hash >> 1) >> (63 - bits));
+}
+
+// analyzer: hot
+void FillBuckets(const Corpus& corpus, size_t begin, size_t end,
+                 size_t max_ngram, int bits, Buckets* buckets) {
+  std::vector<PhraseHash> doc_hashes;
+  for (size_t d = begin; d < end; ++d) {
+    doc_hashes.clear();
+    AppendNgramHashes(corpus.docs()[d], 1, max_ngram, &doc_hashes);
+    std::sort(doc_hashes.begin(), doc_hashes.end());
+    for (size_t i = 0; i < doc_hashes.size(); ++i) {
+      if (i > 0 && doc_hashes[i] == doc_hashes[i - 1]) continue;
+      // analyzer: allow(hot-loop-alloc) -- a bucket grows geometrically;
+      // its final size is unknown until every document is counted.
+      (*buckets)[BucketOf(doc_hashes[i], bits)].push_back(doc_hashes[i]);
     }
-  };
-  size_t distinct = 0;
-  walk([&distinct](PhraseHash, uint32_t) { ++distinct; });
-  DfRun merged;
-  merged.keys.reserve(distinct);
-  merged.counts.reserve(distinct);
-  walk([&merged](PhraseHash key, uint32_t count) {
-    merged.keys.push_back(key);
-    merged.counts.push_back(count);
-  });
-  return merged;
+  }
+}
+
+// Gathers buckets [lo, hi) from every chunk (freeing each as it goes),
+// sorts each bucket and run-length counts it into `out`, keeping counts
+// >= min_df. Keys come out ascending because the buckets do.
+// analyzer: hot
+void FinishBuckets(std::vector<Buckets>* chunks, size_t lo, size_t hi,
+                   size_t min_df, DfRun* out) {
+  std::vector<PhraseHash> all;
+  for (size_t b = lo; b < hi; ++b) {
+    size_t total = 0;
+    for (const Buckets& chunk : *chunks) total += chunk[b].size();
+    all.clear();
+    all.reserve(total);
+    for (Buckets& chunk : *chunks) {
+      all.insert(all.end(), chunk[b].begin(), chunk[b].end());
+      std::vector<PhraseHash>().swap(chunk[b]);
+    }
+    std::sort(all.begin(), all.end());
+    for (size_t i = 0; i < all.size();) {
+      size_t j = i + 1;
+      while (j < all.size() && all[j] == all[i]) ++j;
+      if (j - i >= min_df) {
+        // analyzer: allow(hot-loop-alloc) -- the part's run grows
+        // geometrically; how many keys survive min_df is unknown.
+        out->keys.push_back(all[i]);
+        // analyzer: allow(hot-loop-alloc) -- as keys above.
+        out->counts.push_back(static_cast<uint32_t>(j - i));
+      }
+      i = j;
+    }
+  }
 }
 
 }  // namespace
 
 DfRun CountDocumentFrequencies(const Corpus& corpus, size_t begin,
                                size_t end, size_t max_ngram,
-                               size_t num_threads) {
-  // Each chunk writes only its own run, and the merge visits keys in
-  // hash order whichever thread built which run: no lock, and no
-  // dependence on the schedule.
+                               size_t num_threads, size_t min_df) {
+  // Each chunk writes only its own buckets and each part only its own
+  // run; a bucket's count sums every chunk's copy of a key, whatever the
+  // schedule, so there is no lock and no dependence on thread count.
   const size_t n = end - begin;
-  const size_t num_chunks =
-      std::min(n, ThreadPool::ResolveNumThreads(num_threads));
-  std::vector<DfRun> runs(num_chunks);
-  ThreadPool::ParallelFor(num_chunks, num_chunks, [&](size_t chunk) {
-    runs[chunk] = CountChunk(corpus, begin + chunk * n / num_chunks,
-                             begin + (chunk + 1) * n / num_chunks, max_ngram);
+  const size_t threads = ThreadPool::ResolveNumThreads(num_threads);
+  size_t bound = 0;
+  for (size_t d = begin; d < end; ++d) {
+    bound += NumNgrams(corpus.docs()[d].tokens.size(), max_ngram);
+  }
+  const int bits = BucketBits(bound);
+  const size_t num_buckets = size_t{1} << bits;
+
+  const size_t num_chunks = std::min(n, threads);
+  std::vector<Buckets> chunks(num_chunks, Buckets(num_buckets));
+  ThreadPool::ParallelFor(num_chunks, num_chunks, [&](size_t c) {
+    FillBuckets(corpus, begin + c * n / num_chunks,
+                begin + (c + 1) * n / num_chunks, max_ngram, bits,
+                &chunks[c]);
   });
-  return MergeRuns(std::move(runs));
+
+  const size_t num_parts =
+      std::clamp<size_t>(num_buckets / kMinBucketsPerPart, 1, threads);
+  std::vector<DfRun> parts(num_parts);
+  ThreadPool::ParallelFor(num_parts, num_parts, [&](size_t p) {
+    FinishBuckets(&chunks, p * num_buckets / num_parts,
+                  (p + 1) * num_buckets / num_parts, min_df, &parts[p]);
+  });
+
+  size_t total = 0;
+  for (const DfRun& part : parts) total += part.keys.size();
+  DfRun run;
+  run.keys.reserve(total);
+  run.counts.reserve(total);
+  for (DfRun& part : parts) {
+    run.keys.insert(run.keys.end(), part.keys.begin(), part.keys.end());
+    run.counts.insert(run.counts.end(), part.counts.begin(),
+                      part.counts.end());
+    part = DfRun();
+  }
+  return run;
 }
 
 }  // namespace infoshield

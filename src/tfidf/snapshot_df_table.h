@@ -102,8 +102,9 @@ class SnapshotDfTable {
   // count. Clears `delta`. Existing snapshots are unaffected.
   //
   // `delta` must hold per-document-deduplicated counts (each document
-  // contributes at most 1 per phrase), as CountDocumentFrequencies
-  // produces them.
+  // contributes at most 1 per phrase) of every phrase, as
+  // CountDocumentFrequencies produces them at its default min_df = 1: a
+  // phrase of df 1 can reach df 2 in a later batch, so none is dropped.
   void ApplyBatch(DfRun* delta, size_t num_new_documents);
 
   size_t num_documents() const;

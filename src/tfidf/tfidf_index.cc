@@ -18,8 +18,11 @@ void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
   num_documents_ = corpus.size();
   from_snapshot_ = false;
   snapshot_ = DfSnapshot();
-  DfRun run = CountDocumentFrequencies(corpus, 0, corpus.size(),
-                                       options_.max_ngram, num_threads);
+  // TopPhrases rejects every phrase with df < min_df, so the index keeps
+  // only the others: a pruned phrase reads df 0, rejected the same way.
+  DfRun run = CountDocumentFrequencies(
+      corpus, 0, corpus.size(), options_.max_ngram, num_threads,
+      std::max<size_t>(options_.min_df, 1));
   keys_ = std::move(run.keys);
   dfs_ = std::move(run.counts);
 
@@ -81,9 +84,7 @@ std::vector<ScoredPhrase> TfidfIndex::TopPhrases(const Document& doc) const {
   std::vector<PhraseHash> hashes;
   hashes.reserve(NumNgrams(len, options_.max_ngram) -
                  NumNgrams(len, min_n - 1));
-  for (const NgramSpan& g : ExtractNgrams(doc, options_.max_ngram)) {
-    if (g.n >= min_n) hashes.push_back(g.hash);
-  }
+  AppendNgramHashes(doc, min_n, options_.max_ngram, &hashes);
   std::sort(hashes.begin(), hashes.end());
 
   std::vector<ScoredPhrase> scored;
@@ -136,16 +137,17 @@ Status TfidfIndex::ValidateInvariants() const {
   }
   a.Expect(dfs_.size() == keys_.size(),
            StrFormat("%zu keys but %zu dfs", keys_.size(), dfs_.size()));
+  const size_t min_df = std::max<size_t>(options_.min_df, 1);
   for (size_t i = 0; i < keys_.size() && i < dfs_.size(); ++i) {
     if (i > 0 && keys_[i - 1] >= keys_[i]) {
       a.Expect(false, StrFormat("keys #%zu..#%zu not strictly ascending",
                                 i - 1, i));
     }
-    if (dfs_[i] < 1 || dfs_[i] > num_documents_) {
+    if (dfs_[i] < min_df || dfs_[i] > num_documents_) {
       a.Expect(false,
-               StrFormat("phrase %llu has df %u outside [1, %zu]",
+               StrFormat("phrase %llu has df %u outside [%zu, %zu]",
                          static_cast<unsigned long long>(keys_[i]), dfs_[i],
-                         num_documents_));
+                         min_df, num_documents_));
     }
     if (DocumentFrequency(keys_[i]) != dfs_[i]) {
       a.Expect(false, StrFormat("phrase #%zu unreachable through the "

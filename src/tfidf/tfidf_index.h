@@ -43,7 +43,8 @@ struct TfidfOptions {
   // eligible phrase at all).
   size_t min_phrases_per_doc = 1;
   // Drop phrases whose document frequency is below this when selecting
-  // top phrases (2 = skip phrases that cannot connect documents).
+  // top phrases (2 = skip phrases that cannot connect documents). Build
+  // does not store them either.
   size_t min_df = 2;
 };
 
@@ -56,11 +57,12 @@ class TfidfIndex {
  public:
   TfidfIndex() = default;
 
-  // Scans the corpus and builds the document-frequency table: one
-  // contiguous document chunk per thread (0 = hardware concurrency)
-  // counts a sorted run (df_run.h), and a k-way merge in hash order
-  // writes the runs into flat sorted arrays. The table is identical for
-  // any thread count.
+  // Scans the corpus and builds the document-frequency table
+  // (df_run.h): one contiguous document chunk per thread (0 = hardware
+  // concurrency) buckets its hashes by top bits, and the buckets are
+  // counted into flat sorted arrays. The table keeps only phrases with
+  // df >= min_df, the only ones TopPhrases can select, and is identical
+  // for any thread count.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
@@ -75,27 +77,35 @@ class TfidfIndex {
   void BuildFromSnapshot(const DfSnapshot& snapshot,
                          const TfidfOptions& options);
 
-  // Document frequency of a phrase (0 if unseen).
+  // Document frequency of a phrase: 0 if unseen and, after Build, also 0
+  // if its df is below options().min_df (the index does not keep it).
+  // After BuildFromSnapshot every df is exact.
   size_t DocumentFrequency(PhraseHash phrase) const;
 
   // The top phrases of one document by tf-idf, best first.
   std::vector<ScoredPhrase> TopPhrases(const Document& doc) const;
 
-  // tf-idf score of a phrase occurring `tf` times in one document.
+  // tf-idf score of a phrase occurring `tf` times in one document (0
+  // where DocumentFrequency reads 0).
   double Score(PhraseHash phrase, size_t tf) const;
 
   size_t num_documents() const { return num_documents_; }
+  // The number of phrases the index keeps: after Build, those with
+  // df >= min_df; after BuildFromSnapshot, every phrase of the snapshot.
   size_t num_phrases() const {
     return from_snapshot_ ? snapshot_.num_phrases() : keys_.size();
   }
   const TfidfOptions& options() const { return options_; }
 
-  // Deep invariant audit (util/audit.h): every document frequency lies in
-  // [1, num_documents] and the stored options are sane. Returns OK or an
-  // Internal status listing every violation.
+  // Deep invariant audit (util/audit.h): after Build every stored
+  // document frequency lies in [max(min_df, 1), num_documents], and the
+  // stored options are sane. Returns OK or an Internal status listing
+  // every violation.
   Status ValidateInvariants() const;
 
  private:
+  friend class TfidfIndexTestPeer;
+
   // tf-idf for a phrase whose df lookup the caller already did —
   // TopPhrases' inner loop needs the df twice (min_df filter, then the
   // score) and must not pay the hash lookup twice.

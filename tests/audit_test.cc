@@ -62,6 +62,11 @@ class UnionFindTestPeer {
   static size_t& NumSets(UnionFind& uf) { return uf.num_sets_; }
 };
 
+class TfidfIndexTestPeer {
+ public:
+  static std::vector<uint32_t>& Dfs(TfidfIndex& index) { return index.dfs_; }
+};
+
 namespace {
 
 std::vector<TokenId> Tokens(Vocabulary& vocab,
@@ -304,6 +309,34 @@ TEST(TfidfAuditTest, BuiltIndexValidatesAndBrokenPhraseListDoesNot) {
     duplicated.push_back(duplicated.front());
     EXPECT_FALSE(ValidateTopPhrases(duplicated).ok());
   }
+}
+
+TEST(TfidfAuditTest, StoredDfBelowMinDfIsReported) {
+  // Build keeps only phrases with df >= min_df; a stored df below it
+  // would make TopPhrases select a phrase the pruned index promises to
+  // reject.
+  Corpus corpus;
+  corpus.Add("hot new girl in town tonight");
+  corpus.Add("hot new girl in town today");
+  corpus.Add("completely different advertisement text here");
+  TfidfOptions options;
+  options.min_df = 2;
+  TfidfIndex index;
+  index.Build(corpus, options);
+  ASSERT_TRUE(index.ValidateInvariants().ok());
+  std::vector<uint32_t>& dfs = TfidfIndexTestPeer::Dfs(index);
+  ASSERT_FALSE(dfs.empty());
+  dfs.front() = 1;
+  EXPECT_FALSE(index.ValidateInvariants().ok());
+
+  options.min_df = 1;
+  TfidfIndex full;
+  full.Build(corpus, options);
+  ASSERT_TRUE(full.ValidateInvariants().ok());
+  std::vector<uint32_t>& full_dfs = TfidfIndexTestPeer::Dfs(full);
+  ASSERT_FALSE(full_dfs.empty());
+  full_dfs.front() = 0;
+  EXPECT_FALSE(full.ValidateInvariants().ok());
 }
 
 // --- Seeded randomized stress test -----------------------------------

@@ -1,6 +1,8 @@
 #include "graph/connected_components.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,46 @@
 
 namespace infoshield {
 namespace {
+
+// The hash-map grouping ExtractComponents replaced: members by root in id
+// order, small groups dropped, groups sorted by smallest member.
+Components ReferenceComponents(UnionFind& uf, size_t min_component_size) {
+  std::unordered_map<uint32_t, std::vector<uint32_t>> by_root;
+  for (uint32_t i = 0; i < uf.num_elements(); ++i) {
+    by_root[uf.Find(i)].push_back(i);
+  }
+  Components out;
+  // determinism: the sort below fixes the group order.
+  for (auto& [root, members] : by_root) {
+    if (members.size() < min_component_size) continue;
+    out.groups.push_back(std::move(members));
+  }
+  std::sort(out.groups.begin(), out.groups.end(),
+            [](const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
+              return a.front() < b.front();
+            });
+  return out;
+}
+
+TEST(ComponentsTest, MatchesHashMapReferenceOnRandomUnionFinds) {
+  for (uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
+    Rng rng(seed);
+    const size_t num_nodes = rng.NextIndex(400);
+    const size_t num_edges =
+        num_nodes == 0 ? 0 : rng.NextIndex(2 * num_nodes);
+    UnionFind uf(num_nodes);
+    for (size_t e = 0; e < num_edges; ++e) {
+      uf.Union(static_cast<uint32_t>(rng.NextIndex(num_nodes)),
+               static_cast<uint32_t>(rng.NextIndex(num_nodes)));
+    }
+    for (size_t min_size : {0u, 1u, 2u, 3u, 5u, 50u}) {
+      const Components want = ReferenceComponents(uf, min_size);
+      const Components got = ExtractComponents(uf, min_size);
+      ASSERT_EQ(got.groups, want.groups)
+          << "seed=" << seed << " min_component_size=" << min_size;
+    }
+  }
+}
 
 TEST(ComponentsTest, AllSingletonsKeptAtMinSizeOne) {
   UnionFind uf(3);

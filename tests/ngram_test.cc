@@ -88,5 +88,25 @@ TEST(ExtractNgramsTest, NoDuplicateSpans) {
   EXPECT_EQ(spans.size(), grams.size());
 }
 
+TEST(AppendNgramHashesTest, MatchesExtractNgramsFilteredByLength) {
+  // The hashes of ExtractNgrams' spans with n in [min_n, max_n], in the
+  // same order, appended after what the buffer already holds.
+  const Document d = MakeDoc({3, 1, 4, 1, 5, 9, 2});
+  for (size_t max_n : {size_t{1}, size_t{3}, size_t{7}, ~size_t{0}}) {
+    for (size_t min_n : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      std::vector<PhraseHash> want = {42};
+      for (const NgramSpan& g : ExtractNgrams(d, max_n)) {
+        if (g.n >= min_n) want.push_back(g.hash);
+      }
+      std::vector<PhraseHash> got = {42};
+      AppendNgramHashes(d, min_n, max_n, &got);
+      EXPECT_EQ(got, want) << "min_n=" << min_n << " max_n=" << max_n;
+    }
+  }
+  std::vector<PhraseHash> none;
+  AppendNgramHashes(MakeDoc({}), 1, 5, &none);
+  EXPECT_TRUE(none.empty());
+}
+
 }  // namespace
 }  // namespace infoshield

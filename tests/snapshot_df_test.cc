@@ -91,8 +91,11 @@ TEST(SnapshotDfTableTest, FoldInMatchesBatchBuildExactly) {
       CountDocumentFrequencies(corpus, 3, corpus.size(), options.max_ngram);
   table.ApplyBatch(&delta, corpus.size() - 3);
 
+  // min_df = 1: the reference keeps every phrase, as the table does.
+  TfidfOptions all = options;
+  all.min_df = 1;
   TfidfIndex reference;
-  reference.Build(corpus, options);
+  reference.Build(corpus, all);
 
   DfSnapshot snap = table.Snapshot();
   EXPECT_EQ(snap.num_documents(), corpus.size());
@@ -163,8 +166,15 @@ TEST(SnapshotDfTableTest, IndexFromSnapshotScoresByteIdenticallyToBuild) {
   TfidfIndex snapped;
   snapped.BuildFromSnapshot(table.Snapshot(), options);
 
+  // Build keeps only phrases with df >= min_df; the snapshot keeps every
+  // phrase, as does a Build with min_df = 1.
+  TfidfOptions all = options;
+  all.min_df = 1;
+  TfidfIndex full;
+  full.Build(corpus, all);
   EXPECT_EQ(snapped.num_documents(), built.num_documents());
-  EXPECT_EQ(snapped.num_phrases(), built.num_phrases());
+  EXPECT_EQ(snapped.num_phrases(), full.num_phrases());
+  EXPECT_LE(built.num_phrases(), full.num_phrases());
   for (const Document& doc : corpus.docs()) {
     const std::vector<ScoredPhrase> a = built.TopPhrases(doc);
     const std::vector<ScoredPhrase> b = snapped.TopPhrases(doc);

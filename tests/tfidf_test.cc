@@ -53,9 +53,13 @@ TEST(TfidfTest, CommonPhraseScoresZero) {
 }
 
 TEST(TfidfTest, RarerPhraseScoresHigher) {
+  // min_df = 1 keeps the df-1 phrase; the default min_df = 2 prunes it
+  // and scores it 0 (TfidfOracleTest.PrunedIndexMatchesFilteredNaiveMap).
   Corpus c = SmallCorpus();
+  TfidfOptions opts;
+  opts.min_df = 1;
   TfidfIndex index;
-  index.Build(c, TfidfOptions{});
+  index.Build(c, opts);
   TokenId quick = c.vocab().Find("quick");  // df 2
   TokenId lazy = c.vocab().Find("lazy");    // df 1
   EXPECT_GT(index.Score(HashNgram(&lazy, 1), 1),
@@ -188,10 +192,11 @@ TEST(TfidfTest, MaxNgramLimitsPhraseLength) {
 }
 
 TEST(TfidfTest, ParallelBuildMatchesSerial) {
-  // The parallel df build (one sorted run per thread, k-way merged) must
-  // equal the serial one for every phrase the corpus actually contains —
-  // same table size, same count per hash — because top-phrase selection
-  // (and so the whole coarse output) reads exactly these numbers.
+  // The parallel df build (one bucket set per thread, each bucket counted
+  // once over every chunk) must equal the serial one for every phrase the
+  // corpus actually contains — same table size, same count per hash —
+  // because top-phrase selection (and so the whole coarse output) reads
+  // exactly these numbers.
   Corpus c;
   for (int i = 0; i < 40; ++i) {
     c.Add("shared spam phrase number " + std::to_string(i % 7) +
@@ -257,11 +262,12 @@ TEST(TfidfTest, EmptyDocumentYieldsNoPhrases) {
 using DfMap = std::unordered_map<PhraseHash, uint32_t>;
 
 // Per-document-deduplicated document frequencies of documents
-// [begin, corpus.size()), one hash map.
-DfMap NaiveDf(const Corpus& corpus, size_t max_ngram, size_t begin = 0) {
+// [begin, end), one hash map.
+DfMap NaiveDf(const Corpus& corpus, size_t max_ngram, size_t begin,
+              size_t end) {
   DfMap df;
   std::unordered_set<PhraseHash> seen;
-  for (size_t d = begin; d < corpus.size(); ++d) {
+  for (size_t d = begin; d < end; ++d) {
     seen.clear();
     for (const NgramSpan& g : ExtractNgrams(corpus.doc(d), max_ngram)) {
       seen.insert(g.hash);
@@ -327,31 +333,39 @@ Corpus RandomCorpus(uint64_t seed, size_t num_docs, size_t max_len) {
   return corpus;
 }
 
-void ExpectDfMatchesNaive(const Corpus& corpus, size_t max_ngram) {
-  const DfMap naive = NaiveDf(corpus, max_ngram);
+// The index built with `min_df` holds exactly the naive keys with
+// df >= min_df, each with its exact df; every other key, and the +-1
+// neighbours of every key, read 0 unless kept. min_df = 1 prunes
+// nothing, so every df-1 phrase is checked exactly too.
+void ExpectDfMatchesNaive(const Corpus& corpus, size_t max_ngram,
+                          size_t min_df = 1) {
+  const DfMap naive = NaiveDf(corpus, max_ngram, 0, corpus.size());
+  auto kept = [&naive, min_df](PhraseHash hash) -> size_t {
+    auto it = naive.find(hash);
+    return it == naive.end() || it->second < min_df ? 0 : it->second;
+  };
+  size_t num_kept = 0;
+  for (const auto& [hash, df] : naive) num_kept += df >= min_df ? 1 : 0;
   TfidfOptions options;
   options.max_ngram = max_ngram;
+  options.min_df = min_df;
   for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " max_ngram=" + std::to_string(max_ngram));
+                 " max_ngram=" + std::to_string(max_ngram) +
+                 " min_df=" + std::to_string(min_df));
     TfidfIndex index;
     index.Build(corpus, options, threads);
     EXPECT_EQ(index.num_documents(), corpus.size());
-    ASSERT_EQ(index.num_phrases(), naive.size());
+    ASSERT_EQ(index.num_phrases(), num_kept);
     EXPECT_TRUE(index.ValidateInvariants().ok());
     for (const auto& [hash, df] : naive) {
-      ASSERT_EQ(index.DocumentFrequency(hash), df);
-      // Neighbours of a stored key read 0 unless they are stored too.
+      ASSERT_EQ(index.DocumentFrequency(hash), kept(hash));
       for (PhraseHash probe : {hash - 1, hash + 1}) {
-        auto it = naive.find(probe);
-        EXPECT_EQ(index.DocumentFrequency(probe),
-                  it == naive.end() ? 0u : it->second);
+        EXPECT_EQ(index.DocumentFrequency(probe), kept(probe));
       }
     }
     for (PhraseHash probe : {PhraseHash{0}, ~PhraseHash{0}}) {
-      auto it = naive.find(probe);
-      EXPECT_EQ(index.DocumentFrequency(probe),
-                it == naive.end() ? 0u : it->second);
+      EXPECT_EQ(index.DocumentFrequency(probe), kept(probe));
     }
   }
 }
@@ -390,6 +404,20 @@ TEST(TfidfOracleTest, DfDegenerateCorpora) {
   EXPECT_TRUE(index.TopPhrases(none.doc(0)).empty());
 }
 
+TEST(TfidfOracleTest, PrunedIndexMatchesFilteredNaiveMap) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const Corpus corpus = RandomCorpus(seed, 60, 14);
+    for (size_t max_ngram : {1u, 3u, 5u}) {
+      for (size_t min_df : {2u, 3u}) {
+        ExpectDfMatchesNaive(corpus, max_ngram, min_df);
+      }
+    }
+  }
+  // A corpus large enough for many top-bit buckets and several parts.
+  const Corpus big = RandomCorpus(5, 1500, 30);
+  ExpectDfMatchesNaive(big, 5, 2);
+}
+
 TEST(TfidfOracleTest, DefaultIndexReadsZero) {
   const TfidfIndex index;
   EXPECT_EQ(index.num_phrases(), 0u);
@@ -397,17 +425,25 @@ TEST(TfidfOracleTest, DefaultIndexReadsZero) {
   EXPECT_EQ(index.DocumentFrequency(~PhraseHash{0}), 0u);
 }
 
-TEST(TfidfOracleTest, SubrangeRunsMatchNaiveMapAtEveryThreadCount) {
-  // A document range that starts mid-corpus (the incremental delta's
-  // shape), split across 1..8 chunks and k-way merged.
-  const Corpus corpus = RandomCorpus(4, 40, 10);
-  const DfMap naive = NaiveDf(corpus, 4, /*begin=*/5);
+// CountDocumentFrequencies over [begin, end) against the naive map
+// restricted to df >= min_df, at 1..8 threads: keys strictly ascending,
+// counts exact, both arrays sized exactly.
+void ExpectRunMatchesNaive(const Corpus& corpus, size_t begin, size_t end,
+                           size_t max_ngram, size_t min_df) {
+  DfMap naive = NaiveDf(corpus, max_ngram, begin, end);
+  std::erase_if(naive,
+                [min_df](const auto& kv) { return kv.second < min_df; });
   for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    const DfRun run =
-        CountDocumentFrequencies(corpus, 5, corpus.size(), 4, threads);
+    SCOPED_TRACE("range=[" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ") threads=" + std::to_string(threads) +
+                 " max_ngram=" + std::to_string(max_ngram) +
+                 " min_df=" + std::to_string(min_df));
+    const DfRun run = CountDocumentFrequencies(corpus, begin, end,
+                                               max_ngram, threads, min_df);
     ASSERT_EQ(run.keys.size(), naive.size());
     ASSERT_EQ(run.counts.size(), naive.size());
     EXPECT_EQ(run.keys.capacity(), run.keys.size());
+    EXPECT_EQ(run.counts.capacity(), run.counts.size());
     for (size_t i = 0; i < run.keys.size(); ++i) {
       if (i > 0) {
         EXPECT_LT(run.keys[i - 1], run.keys[i]);
@@ -415,6 +451,27 @@ TEST(TfidfOracleTest, SubrangeRunsMatchNaiveMapAtEveryThreadCount) {
       EXPECT_EQ(run.counts[i], naive.at(run.keys[i]));
     }
   }
+}
+
+TEST(TfidfOracleTest, SubrangeRunsMatchNaiveMapAtEveryThreadCount) {
+  // A document range that starts mid-corpus (the incremental delta's
+  // shape), split across 1..8 chunks.
+  const Corpus corpus = RandomCorpus(4, 40, 10);
+  ExpectRunMatchesNaive(corpus, 5, corpus.size(), 4, 1);
+}
+
+TEST(TfidfOracleTest, PrunedSubrangeRunsMatchNaiveMap) {
+  const Corpus corpus = RandomCorpus(4, 40, 10);
+  for (size_t min_df : {2u, 3u}) {
+    ExpectRunMatchesNaive(corpus, 5, corpus.size(), 4, min_df);
+    ExpectRunMatchesNaive(corpus, 7, 7, 4, min_df);   // empty range
+    ExpectRunMatchesNaive(corpus, 7, 8, 4, min_df);   // one document
+    ExpectRunMatchesNaive(corpus, 0, corpus.size(), 12, min_df);  // n > len
+  }
+  // Enough hashes for many top-bit buckets, finished in several parts.
+  const Corpus big = RandomCorpus(6, 2000, 30);
+  ExpectRunMatchesNaive(big, 100, big.size(), 5, 2);
+  ExpectRunMatchesNaive(big, 100, big.size(), 5, 1);
 }
 
 void ExpectBitIdentical(const std::vector<ScoredPhrase>& want,
@@ -445,7 +502,7 @@ TEST(TfidfOracleTest, TopPhrasesMatchMapReferenceBitForBit) {
   all.top_fraction = 1.0;
   all.min_df = 1;
   for (const TfidfOptions& opts : {options, all}) {
-    const DfMap naive = NaiveDf(corpus, opts.max_ngram);
+    const DfMap naive = NaiveDf(corpus, opts.max_ngram, 0, corpus.size());
     TfidfIndex built;
     built.Build(corpus, opts, 3);
     SnapshotDfTable table;
