@@ -3,15 +3,15 @@
 // Runs the coarse pipeline on a wide synthetic corpus — many mid-sized
 // campaigns plus a large benign tail, the shape that makes the coarse
 // stage (tokenize -> tf-idf -> top phrases -> graph) the bottleneck —
-// once through the single-threaded reference path
-// (CoarseOptions::use_serial_coarse) and then through the parallel
-// path at 1/2/4/8 threads. Every parallel run MUST produce a
-// result identical to the serial reference (clusters, singletons,
-// per-document top phrases, edge count); any disagreement exits
-// non-zero so CI fails. Emits BENCH_coarse.json with per-phase timings
+// once through the single-threaded edge replay kept in
+// tests/coarse_reference.h and then through CoarseClustering::Run at
+// 1/2/4/8 threads. Every run MUST produce a result identical to the
+// reference (clusters, singletons, per-document top phrases, edge
+// count); any disagreement exits non-zero so CI fails. Emits
+// BENCH_coarse.json with per-phase timings
 // (tokenize/index/top-phrase/graph/components) for every configuration
-// plus the 4-thread speedup, giving the repo a tracked trajectory for
-// this path.
+// plus the 4-thread speedup over the reference, giving the repo a
+// tracked trajectory for this path.
 //
 // On single-core runners the speedup reported is honest (~1x or below);
 // the benchmark gates only on divergence, never on speedup.
@@ -25,6 +25,7 @@
 
 #include "bench_util.h"
 #include "coarse/coarse_clustering.h"
+#include "coarse_reference.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
 #include "util/flags.h"
@@ -52,7 +53,7 @@ struct RunOutcome {
   CoarseResult result;
   CoarseStageStats best;  // min-of-trials per phase + tokenize
   size_t threads = 0;
-  bool serial = false;
+  bool reference = false;
 };
 
 // Coarse results carry no floats, so exact comparison is the contract.
@@ -62,23 +63,23 @@ bool SameResult(const CoarseResult& a, const CoarseResult& b) {
 }
 
 RunOutcome RunConfig(const std::vector<std::string>& texts, size_t threads,
-                     bool serial, int trials) {
+                     bool reference, int trials) {
   RunOutcome out;
   out.threads = threads;
-  out.serial = serial;
+  out.reference = reference;
   CoarseOptions options;
   options.num_threads = threads;
-  options.use_serial_coarse = serial;
   for (int trial = 0; trial < trials; ++trial) {
     // Rebuild the corpus from raw text each trial so tokenization is
     // measured under the same thread count as the rest of the stage.
     Corpus corpus;
     WallTimer timer;
-    corpus.AddBatch(texts, serial ? 1 : threads);
+    corpus.AddBatch(texts, threads);
     const double tokenize_seconds = timer.ElapsedSeconds();
 
-    CoarseClustering coarse(options);
-    CoarseResult result = coarse.Run(corpus);
+    CoarseResult result = reference
+                              ? reference::RunSerial(corpus, options)
+                              : CoarseClustering(options).Run(corpus);
     result.stats.tokenize_seconds = tokenize_seconds;
 
     const bool first = trial == 0;
@@ -112,10 +113,10 @@ double TotalSeconds(const CoarseStageStats& s) {
 
 void WriteRun(JsonWriter& w, const RunOutcome& r) {
   w.BeginObject();
-  w.Key("label").String(r.serial ? "serial"
-                                 : "parallel_" + std::to_string(r.threads));
+  w.Key("label").String(r.reference
+                            ? "reference"
+                            : "parallel_" + std::to_string(r.threads));
   w.Key("num_threads").Int(static_cast<int64_t>(r.threads));
-  w.Key("use_serial_coarse").Bool(r.serial);
   w.Key("tokenize_seconds").Double(r.best.tokenize_seconds);
   w.Key("index_seconds").Double(r.best.index_seconds);
   w.Key("top_phrase_seconds").Double(r.best.top_phrase_seconds);
@@ -149,25 +150,25 @@ int main(int argc, char** argv) {
   std::printf("corpus: %zu documents (wide: many mid-sized campaigns)\n",
               texts.size());
 
-  // Serial reference first so the parallel runs cannot benefit from a
-  // warm page cache they didn't earn.
-  RunOutcome serial =
-      RunConfig(texts, /*threads=*/1, /*serial=*/true, kTrials);
+  // Reference first so the measured runs cannot benefit from a warm
+  // page cache they didn't earn.
+  RunOutcome reference =
+      RunConfig(texts, /*threads=*/1, /*reference=*/true, kTrials);
   std::printf(
-      "serial:     total %.3fs  (tok %.3f  idx %.3f  top %.3f  graph %.3f  "
+      "reference:  total %.3fs  (tok %.3f  idx %.3f  top %.3f  graph %.3f  "
       "comp %.3f)\n",
-      TotalSeconds(serial.best), serial.best.tokenize_seconds,
-      serial.best.index_seconds, serial.best.top_phrase_seconds,
-      serial.best.graph_seconds, serial.best.components_seconds);
+      TotalSeconds(reference.best), reference.best.tokenize_seconds,
+      reference.best.index_seconds, reference.best.top_phrase_seconds,
+      reference.best.graph_seconds, reference.best.components_seconds);
 
   double speedup4 = 0.0;
   std::vector<RunOutcome> runs;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    RunOutcome run = RunConfig(texts, threads, /*serial=*/false, kTrials);
-    if (!SameResult(run.result, serial.result)) {
+    RunOutcome run = RunConfig(texts, threads, /*reference=*/false, kTrials);
+    if (!SameResult(run.result, reference.result)) {
       std::fprintf(stderr,
-                   "FAIL: parallel coarse run (num_threads=%zu) diverged "
-                   "from the serial reference\n",
+                   "FAIL: coarse run (num_threads=%zu) diverged from the "
+                   "reference replay\n",
                    threads);
       return 1;
     }
@@ -178,20 +179,20 @@ int main(int argc, char** argv) {
         run.best.index_seconds, run.best.top_phrase_seconds,
         run.best.graph_seconds, run.best.components_seconds);
     if (threads == 4 && TotalSeconds(run.best) > 0.0) {
-      speedup4 = TotalSeconds(serial.best) / TotalSeconds(run.best);
+      speedup4 = TotalSeconds(reference.best) / TotalSeconds(run.best);
     }
     runs.push_back(std::move(run));
   }
   std::printf("speedup at 4 threads: %.2fx  (outputs identical: yes)\n",
               speedup4);
 
-  bench::BenchJson bench_json("infoshield-bench-coarse/2");
+  bench::BenchJson bench_json("infoshield-bench-coarse/3");
   JsonWriter& w = bench_json.writer();
   w.Key("corpus_documents").Int(static_cast<int64_t>(texts.size()));
   w.Key("trials").Int(kTrials);
   w.Key("outputs_identical").Bool(true);
-  w.Key("serial");
-  WriteRun(w, serial);
+  w.Key("reference");
+  WriteRun(w, reference);
   w.Key("parallel").BeginArray();
   for (const RunOutcome& run : runs) {
     WriteRun(w, run);

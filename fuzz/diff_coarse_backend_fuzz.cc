@@ -12,23 +12,19 @@
 // document is a singleton. The harness decodes such a corpus from fuzz
 // bytes (the fuzzer explores family count/size/length, noise, shingle
 // length, and banding), runs both backends, and asserts identical
-// clusters and singletons. It also asserts the LSH backend itself is
-// byte-identical across the serial escape hatch and 1/4 worker threads,
-// mirroring diff_coarse_fuzz's discipline for the tf-idf backend, and —
-// under a bucket degree cap drawn from the input once the backends
-// have been compared uncapped — that it matches the doc-major (doc,
-// band key) replay through CoarseEdgeAccumulator that its bucket unions
-// stand in for.
+// clusters and singletons. It also asserts, under a bucket degree cap
+// drawn from the input once the backends have been compared uncapped,
+// that the LSH backend at 1 and 4 worker threads matches the doc-major
+// (doc, band key) edge replay kept in tests/coarse_reference.h,
+// mirroring diff_coarse_fuzz's discipline for the tf-idf backend.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "coarse/coarse_clustering.h"
+#include "coarse_reference.h"
 #include "fuzz_util.h"
-#include "graph/union_find.h"
-#include "lsh/lsh_index.h"
-#include "lsh/minhash.h"
 #include "text/corpus.h"
 #include "util/logging.h"
 
@@ -39,7 +35,6 @@ using infoshield::CoarseClustering;
 using infoshield::CoarseOptions;
 using infoshield::CoarseResult;
 using infoshield::Corpus;
-using infoshield::Document;
 
 // The partition both backends must agree on. doc_top_phrases and
 // num_edges legitimately differ (top tf-idf phrases vs LSH band keys).
@@ -75,27 +70,6 @@ std::string Canonical(const CoarseResult& result) {
   }
   out += ";edges:" + std::to_string(result.num_edges);
   return out;
-}
-
-// The partition and edge count of the canonical replay: every
-// document's band keys, in ascending-doc order, through the anchor and
-// degree maps of CoarseEdgeAccumulator.
-std::string ReplayReference(const Corpus& corpus,
-                            const CoarseOptions& options) {
-  CoarseResult result;
-  const infoshield::MinHashFamily family(options.minhash);
-  infoshield::UnionFind uf(corpus.size());
-  infoshield::CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
-  for (const Document& doc : corpus.docs()) {
-    for (const uint64_t key :
-         infoshield::BandKeys(family.Signature(doc.tokens), options.lsh)) {
-      ++result.num_edges;
-      edges.Add(doc.id, key);
-    }
-  }
-  infoshield::EmitCoarseComponents(uf, options, &result);
-  return PartitionString(result) + ";edges:" +
-         std::to_string(result.num_edges);
 }
 
 }  // namespace
@@ -156,14 +130,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (const std::string& text : texts) corpus.Add(text);
 
   options.backend = CoarseBackend::kTfidfGraph;
-  options.use_serial_coarse = true;
   options.num_threads = 1;
   const std::string tfidf_partition =
       PartitionString(CoarseClustering(options).Run(corpus));
 
   options.backend = CoarseBackend::kMinhashLsh;
-  const CoarseResult lsh_serial = CoarseClustering(options).Run(corpus);
-  CHECK(PartitionString(lsh_serial) == tfidf_partition)
+  const CoarseResult lsh_uncapped = CoarseClustering(options).Run(corpus);
+  CHECK(PartitionString(lsh_uncapped) == tfidf_partition)
       << "backends disagree on an exact-duplicate family corpus of "
       << texts.size() << " docs (shingle_k=" << options.minhash.shingle_k
       << ", bands=" << options.lsh.bands << ")";
@@ -171,24 +144,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Drawn last, so inputs written before the cap existed decode to the
   // same corpus (and to no cap).
   options.max_phrase_degree = in.TakeBounded(4);
-  const std::string replay = ReplayReference(corpus, options);
-  const CoarseResult lsh_capped = CoarseClustering(options).Run(corpus);
-  CHECK(PartitionString(lsh_capped) + ";edges:" +
-            std::to_string(lsh_capped.num_edges) ==
-        replay)
-      << "LSH bucket unions diverged from the canonical edge replay at "
-      << "max_phrase_degree=" << options.max_phrase_degree
-      << " on a corpus of " << texts.size() << " docs";
-
-  const std::string lsh_reference = Canonical(lsh_capped);
-  options.use_serial_coarse = false;
+  const std::string replay =
+      Canonical(infoshield::reference::RunSerial(corpus, options));
   for (size_t threads : {size_t{1}, size_t{4}}) {
     options.num_threads = threads;
-    const std::string parallel =
-        Canonical(CoarseClustering(options).Run(corpus));
-    CHECK(parallel == lsh_reference)
-        << "LSH backend diverged from its serial reference at " << threads
-        << " thread(s) on a corpus of " << texts.size() << " docs";
+    const std::string run = Canonical(CoarseClustering(options).Run(corpus));
+    CHECK(run == replay)
+        << "LSH backend diverged from the canonical edge replay at "
+        << threads << " thread(s), max_phrase_degree="
+        << options.max_phrase_degree << ", on a corpus of " << texts.size()
+        << " docs";
   }
   return 0;
 }

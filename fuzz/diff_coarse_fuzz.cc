@@ -1,17 +1,19 @@
 // Harness (e2): differential fuzzing of the coarse stage.
 //
-// The parallel coarse pipeline (one sorted df run per thread merged in
-// hash order, per-chunk top-phrase fan-out, canonical edge replay) must
-// be byte-identical to the serial reference at every thread count. This
-// harness decodes fuzz bytes into a synthetic corpus, runs the coarse
-// stage serially and with 1 and 4 worker threads, and asserts identical
-// clusters, singletons, per-document top phrases, and edge counts.
+// The coarse pipeline (per-thread df counting, per-chunk top-phrase
+// fan-out, the bucket-run graph) must be byte-identical to the serial
+// edge replay kept in tests/coarse_reference.h at every thread count.
+// This harness decodes fuzz bytes into a synthetic corpus, runs the
+// reference and the coarse stage with 1 and 4 worker threads, and
+// asserts identical clusters, singletons, per-document top phrases, and
+// edge counts.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "coarse/coarse_clustering.h"
+#include "coarse_reference.h"
 #include "fuzz_util.h"
 #include "synthetic_corpus.h"
 #include "text/corpus.h"
@@ -72,11 +74,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/16);
   const Corpus corpus = infoshield::fuzz::BuildSyntheticCorpus(texts);
 
-  options.use_serial_coarse = true;
-  options.num_threads = 1;
-  const std::string serial = Canonical(CoarseClustering(options).Run(corpus));
+  const std::string serial =
+      Canonical(infoshield::reference::RunSerial(corpus, options));
 
-  options.use_serial_coarse = false;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     options.num_threads = threads;
     const std::string parallel =

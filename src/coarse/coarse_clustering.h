@@ -14,9 +14,9 @@
 #define INFOSHIELD_COARSE_COARSE_CLUSTERING_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "graph/bucket_run.h"
 #include "graph/union_find.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
@@ -37,11 +37,10 @@ namespace infoshield {
 //    structure. Components are the connected components of the
 //    "shares a band bucket" relation.
 //
-// Both backends emit through EmitCoarseComponents, so downstream
-// fine-stage code is untouched, and both are byte-identical across
-// thread counts. The tf-idf backend replays its edges through
-// CoarseEdgeAccumulator; the LSH backend unions each sorted bucket's
-// members, which gives the same components as that replay would.
+// Both backends build the same object: a BucketRun (graph/bucket_run.h)
+// of their per-document keys — top-phrase hashes or band keys — whose
+// components EmitBucketComponents emits. Downstream fine-stage code is
+// untouched, and both are byte-identical across thread counts.
 enum class CoarseBackend : uint8_t {
   kTfidfGraph = 0,
   kMinhashLsh = 1,
@@ -66,23 +65,16 @@ struct CoarseOptions {
   // pathological inputs without affecting normal runs.
   size_t max_phrase_degree = 0;
   // Worker threads for the coarse pipeline (1 = sequential, 0 = hardware
-  // concurrency). The parallel path counts the tf-idf df table in one
-  // sorted run per thread, fans per-document top-phrase selection and
-  // bipartite-edge generation across the pool, and replays the collected edges in
-  // canonical (document, phrase-rank) order — output is byte-identical
-  // to the serial path for any value (DESIGN.md §11).
+  // concurrency): the df count, per-document top-phrase selection and
+  // the bucket-run sort all split the documents into contiguous chunks.
+  // Output is byte-identical for any value (DESIGN.md §11).
   size_t num_threads = 1;
-  // Escape hatch mirroring FineOptions::use_naive_costing: run the
-  // single-threaded reference implementation regardless of num_threads.
-  // Exists to cross-check the parallel path (determinism_test) and to
-  // measure the win (bench_coarse reports both).
-  bool use_serial_coarse = false;
 };
 
 // Per-phase wall-clock breakdown and diagnostics for one coarse
-// run. Deliberately not part of the canonical JSON output: the serial
-// and parallel paths must emit byte-identical results while reporting
-// very different timings.
+// run. Deliberately not part of the canonical JSON output: runs at
+// different thread counts must emit byte-identical results while
+// reporting very different timings.
 struct CoarseStageStats {
   // tokenize_seconds is filled by callers that build the corpus from raw
   // text (e.g. via Corpus::AddBatch) — tokenization has already happened
@@ -91,14 +83,15 @@ struct CoarseStageStats {
   double tokenize_seconds = 0.0;
   // Document-frequency accumulation (TfidfIndex::Build).
   double index_seconds = 0.0;
-  // Per-document top-phrase selection + bipartite-edge generation.
+  // Per-document top-phrase selection.
   double top_phrase_seconds = 0.0;
-  // Building the UnionFind: the canonical-order edge replay (tf-idf),
-  // or the per-bucket unions over the sorted bucket run (LSH).
+  // Building the UnionFind: the bucket-run sort of the top phrases plus
+  // the per-bucket unions (tf-idf), or the unions alone (LSH, whose run
+  // is timed in bucket_seconds).
   double graph_seconds = 0.0;
   // Component extraction and cluster/singleton emission.
   double components_seconds = 0.0;
-  // Worker count the run actually used (1 = serial path ran).
+  // Worker count the run actually used.
   size_t parallel_threads = 1;
   // MinHash/LSH backend phases and bucket diagnostics (all 0 on the
   // tf-idf backend; index/top_phrase are 0 on the LSH backend).
@@ -141,56 +134,19 @@ struct CoarseResult {
   CoarseStageStats stats;
 };
 
-// The anchor/degree/union pass over bipartite edges in canonical
-// (document, phrase-rank) order, shared by the serial and parallel
-// batch paths — and, statefully, by the incremental ingest path — so
-// none of them can drift. Instead of materializing phrase vertices,
-// documents sharing a top phrase are unioned directly: the first
-// document seen with each phrase acts as the phrase's anchor. This
-// yields exactly the connected components of the bipartite graph
-// restricted to document vertices, provided edges are replayed in the
-// canonical order (the degree cap drops the same edges only then).
-class CoarseEdgeAccumulator {
- public:
-  CoarseEdgeAccumulator(size_t max_phrase_degree, UnionFind* uf)
-      : max_phrase_degree_(max_phrase_degree), uf_(uf) {}
-
-  void Add(DocId doc, PhraseHash phrase) {
-    if (max_phrase_degree_ > 0) {
-      uint32_t d = ++degree_[phrase];
-      if (d > max_phrase_degree_) return;
-    }
-    auto [it, inserted] = anchor_.emplace(phrase, doc);
-    if (!inserted) uf_->Union(it->second, doc);
-  }
-
-  // Drops all anchor/degree state and rebinds to `uf` (which the caller
-  // has reset to all-singletons). The incremental path uses this when a
-  // top-phrase set shrank and the graph must be replayed from scratch;
-  // between rebuilds it keeps one live accumulator and feeds it only the
-  // newly added edges.
-  void Reset(UnionFind* uf) {
-    uf_ = uf;
-    anchor_.clear();
-    degree_.clear();
-  }
-
- private:
-  const size_t max_phrase_degree_;
-  // analyzer: borrows(uf_) -- rebound per shard via Reset(); the
-  // UnionFind lives in CoarseClustering::Run's frame, which strictly
-  // encloses every accumulator that points at it.
-  UnionFind* uf_;
-  std::unordered_map<PhraseHash, DocId> anchor_;
-  std::unordered_map<PhraseHash, uint32_t> degree_;
-};
-
 // Component extraction + canonical cluster/singleton emission into
-// `result`, shared by the batch paths and the incremental assembly:
-// components below min_cluster_size spill into result->singletons
-// (sorted ascending), the rest append to result->clusters in
-// smallest-member order.
+// `result`: components below min_cluster_size spill into
+// result->singletons (sorted ascending), the rest append to
+// result->clusters in smallest-member order.
 void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
+                          CoarseResult* result);
+
+// The coarse graph step shared by both backends and the incremental
+// engine: unions `run`'s buckets under options.max_phrase_degree
+// (UnionBuckets) and emits the components through EmitCoarseComponents,
+// adding the union time to result->stats.graph_seconds and the
+// emission time to components_seconds.
+void EmitBucketComponents(const BucketRun& run, const CoarseOptions& options,
                           CoarseResult* result);
 
 class CoarseClustering {
@@ -199,21 +155,18 @@ class CoarseClustering {
   explicit CoarseClustering(CoarseOptions options)
       : options_(options) {}
 
-  // Dispatches on options().backend: the tf-idf graph backend goes to
-  // the serial reference path (use_serial_coarse, or an effective
-  // thread count of 1) or the parallel path; kMinhashLsh goes
-  // to RunLshCoarse (lsh/lsh_coarse.h), forced to one worker under the
-  // same use_serial_coarse escape hatch. Every path produces
-  // byte-identical results at any thread count (enforced by
-  // determinism_test, bench_coarse, and bench_lsh).
+  // Dispatches on options().backend. The tf-idf graph backend builds
+  // the df index, selects every document's top phrases and sorts them
+  // into a BucketRun, all across num_threads workers; kMinhashLsh goes
+  // to RunLshCoarse (lsh/lsh_coarse.h). Both produce byte-identical
+  // results at any thread count, equal to the doc-major edge replay the
+  // tests keep as their reference (determinism_test, bench_coarse,
+  // bench_lsh).
   CoarseResult Run(const Corpus& corpus) const;
 
   const CoarseOptions& options() const { return options_; }
 
  private:
-  CoarseResult RunSerial(const Corpus& corpus) const;
-  CoarseResult RunParallel(const Corpus& corpus, size_t threads) const;
-
   CoarseOptions options_;
 };
 

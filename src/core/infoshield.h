@@ -23,11 +23,12 @@ struct InfoShieldOptions {
   CoarseOptions coarse;
   FineOptions fine;
   // Worker threads for both stages: the coarse pipeline (df counting,
-  // per-document top-phrase selection, edge generation) and the fine
+  // per-document top-phrase selection, the bucket-run sort) and the fine
   // stage (candidate-set fits, FineClustering::RunOnClusters). Overrides
   // coarse.num_threads. 1 = sequential; 0 = hardware concurrency.
-  // Results are bit-identical for any thread count: coarse edges replay
-  // in canonical order and fine clusters merge in deterministic order.
+  // Results are bit-identical for any thread count: the coarse bucket
+  // run is a pure function of the keys and fine clusters merge in
+  // deterministic order.
   size_t num_threads = 1;
 };
 

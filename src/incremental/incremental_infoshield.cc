@@ -1,9 +1,9 @@
 #include "incremental/incremental_infoshield.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
+#include "graph/bucket_run.h"
 #include "mdl/cost_model.h"
 #include "text/ngram.h"
 #include "tfidf/df_run.h"
@@ -19,25 +19,9 @@ namespace infoshield {
 
 IncrementalInfoShield::IncrementalInfoShield(
     InfoShieldOptions options, TokenizerOptions tokenizer_options)
-    : options_(options),
-      corpus_(tokenizer_options),
-      uf_(0),
-      edges_(options.coarse.max_phrase_degree, &uf_) {
+    : options_(options), corpus_(tokenizer_options) {
   // result_ starts as the batch pipeline's output over an empty corpus:
   // no documents, no clusters, no templates.
-}
-
-void IncrementalInfoShield::RebuildGraph() {
-  uf_ = UnionFind(corpus_.size());
-  edges_.Reset(&uf_);
-  // Canonical (document, phrase-rank) replay — the exact edge sequence
-  // the batch coarse stage consumes, so the degree cap drops the same
-  // edges and the components come out byte-equal.
-  for (DocId d = 0; d < corpus_.size(); ++d) {
-    for (PhraseHash phrase : doc_top_phrases_[d]) {
-      edges_.Add(d, phrase);
-    }
-  }
 }
 
 // analyzer: hot
@@ -76,7 +60,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   // N changed, so idf moved for every phrase and even untouched
   // documents can reorder their top list; scoring is pure and per-
   // document, so it fans out, and the diff below confines the expensive
-  // consequences (graph/fine work) to documents that actually changed.
+  // consequence (fine work) to documents that actually changed.
   timer.Restart();
   TfidfIndex index;
   index.BuildFromSnapshot(df_table_.Snapshot(), options_.coarse.tfidf);
@@ -99,87 +83,33 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   });
   stats.rescore_seconds = timer.ElapsedSeconds();
 
-  // --- diff against the previous generation's top phrases.
+  // --- diff against the previous generation's top phrases. A document
+  // counts as changed when its top-phrase SET changed: the graph is built
+  // from a (key, doc)-sorted run and the fine stage sorts what it reads
+  // of a document's phrases, so rank order reaches no output.
   timer.Restart();
-  bool any_old_changed = false;
-  bool any_phrase_lost = false;
-  std::vector<uint8_t> changed(new_size, 0);
-  std::unordered_set<PhraseHash> phrase_set;
+  std::vector<PhraseHash> old_set;
+  std::vector<PhraseHash> new_set;
+  doc_changed_gen_.resize(new_size, generation);
+  stats.changed_docs = new_size - old_size;
   for (size_t d = 0; d < old_size; ++d) {
     if (new_top[d] == doc_top_phrases_[d]) continue;
-    changed[d] = 1;
-    ++stats.changed_docs;
-    any_old_changed = true;
-    if (!any_phrase_lost) {
-      phrase_set.clear();
-      // analyzer: allow(hot-loop-alloc) -- hoisted set, cleared and
-      // reused per changed document; rehashes amortize.
-      phrase_set.insert(new_top[d].begin(), new_top[d].end());
-      for (PhraseHash phrase : doc_top_phrases_[d]) {
-        if (phrase_set.find(phrase) == phrase_set.end()) {
-          any_phrase_lost = true;
-          break;
-        }
-      }
-    }
-  }
-  for (size_t d = old_size; d < new_size; ++d) {
-    changed[d] = 1;
+    old_set.assign(doc_top_phrases_[d].begin(), doc_top_phrases_[d].end());
+    new_set.assign(new_top[d].begin(), new_top[d].end());
+    std::sort(old_set.begin(), old_set.end());
+    std::sort(new_set.begin(), new_set.end());
+    if (old_set == new_set) continue;
+    doc_changed_gen_[d] = generation;
     ++stats.changed_docs;
   }
-
-  // --- graph. Union–find can only merge, so the in-place fast path is
-  // valid only when every change is additive: a lost phrase means a lost
-  // edge, and under a degree cap ANY old-document change perturbs the
-  // canonical replay order the cap's edge drops depend on. Both replays
-  // produce the same components as the batch stage — the fast path by
-  // anchor-invariance (components are the transitive closure of "shares
-  // a top phrase", regardless of which member anchors a phrase), the
-  // rebuild by literal re-execution.
-  const bool must_rebuild =
-      any_phrase_lost ||
-      (options_.coarse.max_phrase_degree > 0 && any_old_changed);
-  const std::vector<std::vector<PhraseHash>> old_top =
-      std::move(doc_top_phrases_);
   doc_top_phrases_ = std::move(new_top);
-  doc_changed_gen_.resize(new_size, generation);
-  for (size_t d = 0; d < old_size; ++d) {
-    if (changed[d]) doc_changed_gen_[d] = generation;
-  }
-  if (must_rebuild) {
-    stats.graph_rebuilt = true;
-    RebuildGraph();
-  } else {
-    uf_.Reserve(new_size);
-    for (size_t d = old_size; d < new_size; ++d) {
-      const uint32_t id = uf_.AddElement();
-      CHECK_EQ(static_cast<size_t>(id), d);
-    }
-    for (size_t d = 0; d < new_size; ++d) {
-      if (!changed[d]) continue;
-      if (d < old_size) {
-        // Gain-only change (a loss would have forced the rebuild): feed
-        // just the added edges.
-        phrase_set.clear();
-        // analyzer: allow(hot-loop-alloc) -- hoisted set, cleared and
-        // reused per changed document; rehashes amortize.
-        phrase_set.insert(old_top[d].begin(), old_top[d].end());
-        for (PhraseHash phrase : doc_top_phrases_[d]) {
-          if (phrase_set.find(phrase) == phrase_set.end()) {
-            edges_.Add(static_cast<DocId>(d), phrase);
-          }
-        }
-      } else {
-        for (PhraseHash phrase : doc_top_phrases_[d]) {
-          edges_.Add(static_cast<DocId>(d), phrase);
-        }
-      }
-    }
-  }
 
-  // --- components, exactly as the batch coarse stage emits them.
+  // --- graph: rebuilt from the bucket run of every document's top
+  // phrases, the batch coarse stage's own graph step.
+  stats.graph_rebuilt = true;
   CoarseResult components;
-  EmitCoarseComponents(uf_, options_.coarse, &components);
+  EmitBucketComponents(BucketRun::Build(doc_top_phrases_, threads),
+                       options_.coarse, &components);
   stats.num_coarse_clusters = components.clusters.size();
   stats.graph_seconds = timer.ElapsedSeconds();
 
@@ -293,7 +223,6 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
 
 Status IncrementalInfoShield::ValidateInvariants() const {
   INFOSHIELD_RETURN_IF_ERROR(df_table_.ValidateInvariants());
-  INFOSHIELD_RETURN_IF_ERROR(uf_.ValidateInvariants());
   audit::Auditor a("IncrementalInfoShield");
   const size_t n = corpus_.size();
   a.Expect(doc_top_phrases_.size() == n,
@@ -302,9 +231,6 @@ Status IncrementalInfoShield::ValidateInvariants() const {
   a.Expect(doc_changed_gen_.size() == n,
            StrFormat("doc_changed_gen has %zu entries for %zu documents",
                      doc_changed_gen_.size(), n));
-  a.Expect(uf_.num_elements() == n,
-           StrFormat("union-find covers %zu elements for %zu documents",
-                     uf_.num_elements(), n));
   a.Expect(df_table_.num_documents() == n,
            StrFormat("df table counts %zu documents but the corpus holds "
                      "%zu",

@@ -2,10 +2,10 @@
 // documents into a live InfoShield model without re-running the whole
 // pipeline, while staying byte-identical to a fresh batch run.
 //
-// The batch pipeline is the oracle, in the use_serial_coarse /
-// use_naive_costing tradition: after ANY sequence of IngestBatch calls,
-// ResultToJson(result(), corpus()) must byte-match a fresh
-// InfoShield::Run over the concatenated corpus (incremental_test, the
+// The batch pipeline is the oracle, in the use_naive_costing tradition:
+// after ANY sequence of IngestBatch calls, ResultToJson(result(),
+// corpus()) must byte-match a fresh InfoShield::Run over the
+// concatenated corpus (incremental_test, the
 // diff_incremental fuzz harness, and bench_incremental all enforce
 // this). That contract is achievable because every stage is either
 // additive or cheap to replay:
@@ -17,23 +17,22 @@
 //                 so all documents are rescored each ingest. This is the
 //                 cheap, embarrassingly-parallel part of the pipeline;
 //                 the savings target is the fine stage below.
-//   graph       — union–find only ever merges, so new edges union in
-//                 place (growable UnionFind + the persistent
-//                 CoarseEdgeAccumulator). Only when an old document's
-//                 top-phrase set LOSES a phrase — or changes at all
-//                 under a max_phrase_degree cap, whose edge-drop choices
-//                 are replay-order-sensitive — is the graph replayed
-//                 from scratch; the replay is O(edges) and allocation-
-//                 cheap next to one fine cluster.
+//   graph       — rebuilt every batch from the bucket run of all
+//                 documents' top phrases (EmitBucketComponents, the
+//                 batch coarse stage's own step), so the degree cap
+//                 drops the same edges. The sort is O(edges log edges)
+//                 and cheap next to one fine cluster; repairing only
+//                 the components a batch touches is future work.
 //   fine stage  — the expensive part (MDL + alignment) is skipped for
 //                 every CLEAN component: identical member list, no
-//                 member's top phrases changed since the cached result,
+//                 member's top-phrase set changed since the cached result,
 //                 and an unchanged lg V (a vocabulary-size step shifts
 //                 every cost comparison, so it clears the whole cache).
 //                 A cluster's FineClustering::RunOnClusters result
 //                 depends on nothing but its members' tokens, their
-//                 top-phrase lists, and the cost model, so the cached
-//                 FineResult is exact.
+//                 top-phrase sets (the fine stage sorts what it reads,
+//                 so rank order never reaches it), and the cost model,
+//                 so the cached FineResult is exact.
 //
 // Per-batch cost therefore scales with the size of the components the
 // batch touches, not with the corpus (the acceptance criterion
@@ -51,7 +50,6 @@
 #include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
 #include "core/infoshield.h"
-#include "graph/union_find.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
 #include "text/tokenizer.h"
@@ -67,11 +65,13 @@ struct IngestStats {
   // Documents in this batch / in the corpus after it.
   size_t batch_docs = 0;
   size_t total_docs = 0;
-  // Documents whose top-phrase list changed this ingest (new documents
-  // always count; old ones only when idf movement reordered them).
+  // Documents whose top-phrase set changed this ingest (new documents
+  // always count; old ones only when idf movement swapped a phrase in or
+  // out — a reordering alone does not count).
   size_t changed_docs = 0;
-  // True when a lost phrase (or any change under a degree cap) forced a
-  // from-scratch edge replay instead of the fast append-only union.
+  // True on every non-empty batch: the graph is rebuilt from the bucket
+  // run each time. Local repair of only the touched components is what
+  // would make it false again.
   bool graph_rebuilt = false;
   // True when vocabulary growth moved lg V and invalidated every cached
   // fine result.
@@ -118,8 +118,8 @@ class IncrementalInfoShield {
   const InfoShieldOptions& options() const { return options_; }
   uint64_t generation() const { return df_table_.generation(); }
 
-  // Deep invariant audit (util/audit.h): the df table validates, the
-  // graph covers exactly the corpus, per-document state arrays line up,
+  // Deep invariant audit (util/audit.h): the df table validates,
+  // per-document state arrays line up,
   // every cached fine entry's members exist, and the assembled result
   // validates against the corpus. Returns OK or an Internal status
   // listing every violation.
@@ -135,10 +135,6 @@ class IncrementalInfoShield {
     uint64_t generation = 0;
   };
 
-  // Replays the whole doc–phrase graph from scratch in canonical
-  // (document, phrase-rank) order.
-  void RebuildGraph();
-
   InfoShieldOptions options_;
   Corpus corpus_;
   SnapshotDfTable df_table_;
@@ -149,10 +145,6 @@ class IncrementalInfoShield {
   // mutation happens serially between ingest phases
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
   std::vector<uint64_t> doc_changed_gen_;
-
-  // Persistent doc–phrase graph (document vertices only).
-  UnionFind uf_;
-  CoarseEdgeAccumulator edges_;
 
   // Fine-result cache keyed by a cluster's smallest member (clusters
   // partition the documents, so within one generation the key is

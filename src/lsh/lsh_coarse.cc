@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "graph/union_find.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
 #include "util/logging.h"
@@ -63,27 +61,9 @@ CoarseResult RunLshCoarse(const Corpus& corpus, const CoarseOptions& options,
   result.stats.lsh_candidate_pairs = bucket_stats.candidate_pairs;
   result.stats.bucket_seconds = timer.ElapsedSeconds();
 
-  // Documents sharing a bucket are unioned through the bucket's first
-  // (smallest) document. This is the canonical doc-major (doc, band key)
-  // edge replay through CoarseEdgeAccumulator without the hash maps: that
-  // replay meets each key's documents in ascending order, anchors the key
-  // on the first and drops every Add past max_phrase_degree — exactly the
-  // bucket's first min(size, cap) entries, duplicates included.
-  timer.Restart();
-  UnionFind uf(n);
-  const size_t cap = options.max_phrase_degree == 0
-                         ? SIZE_MAX
-                         : options.max_phrase_degree;
-  for (size_t b = 0; b < index.num_buckets(); ++b) {
-    const std::span<const DocId> members = index.bucket(b);
-    const size_t kept = std::min(members.size(), cap);
-    for (size_t i = 1; i < kept; ++i) uf.Union(members[0], members[i]);
-  }
-  result.stats.graph_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
-  EmitCoarseComponents(uf, options, &result);
-  result.stats.components_seconds = timer.ElapsedSeconds();
+  // Components straight from the run: each bucket's first documents
+  // join its first one, under the same degree cap as the tf-idf graph.
+  EmitBucketComponents(index.run(), options, &result);
   return result;
 }
 

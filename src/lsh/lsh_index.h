@@ -8,15 +8,11 @@
 // probability 1 - (1 - J^rows)^bands for Jaccard J, the classic S-curve
 // with threshold ~ (1/bands)^(1/rows).
 //
-// The index is one flat run sorted by (key, doc): the distinct keys in
-// ascending order, each with the ascending DocIds of its bucket
-// (a document listed as often as it holds the key). Build fills the
-// run in document order, sorts per-thread chunks and merges them, so
-// it holds no lock and no hash table, and its contents — member order
-// included — are a pure function of the band keys, whatever the thread
-// count. The coarse backend reads its components straight from the
-// buckets; Query answers "which documents share a bucket with this
-// signature" by binary search.
+// The index is a BucketRun (graph/bucket_run.h) over the band keys: the
+// distinct keys in ascending order, each with the ascending DocIds of
+// its bucket, identical at any thread count. The coarse backend reads
+// its components straight from the run; Query answers "which documents
+// share a bucket with this signature" by binary search.
 
 #ifndef INFOSHIELD_LSH_LSH_INDEX_H_
 #define INFOSHIELD_LSH_LSH_INDEX_H_
@@ -26,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/bucket_run.h"
 #include "lsh/minhash.h"
 #include "text/corpus.h"
 #include "util/status.h"
@@ -79,8 +76,8 @@ class LshIndex {
              size_t num_threads);
 
   // Buckets doc-major band keys: band_keys[d] holds document d's keys
-  // (BandKeys of its signature; empty for an empty document). The one
-  // build implementation; the result does not depend on `num_threads`.
+  // (BandKeys of its signature; empty for an empty document) via
+  // BucketRun::Build; the result does not depend on `num_threads`.
   // May be called once per index.
   void BuildFromBandKeys(const std::vector<std::vector<uint64_t>>& band_keys,
                          size_t num_threads);
@@ -97,10 +94,10 @@ class LshIndex {
   // Buckets in ascending key order; bucket(i) lists the documents
   // holding the i-th smallest key, ascending, a document once per
   // occurrence of the key among its band keys.
-  size_t num_buckets() const { return keys_.size(); }
-  std::span<const DocId> bucket(size_t i) const {
-    return {docs_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-  }
+  size_t num_buckets() const { return run_.num_buckets(); }
+  std::span<const DocId> bucket(size_t i) const { return run_.bucket(i); }
+  // The run itself, for the coarse graph step.
+  const BucketRun& run() const { return run_; }
 
   const MinHashParams& minhash_params() const { return minhash_; }
   const LshParams& params() const { return params_; }
@@ -108,11 +105,7 @@ class LshIndex {
  private:
   MinHashParams minhash_;
   LshParams params_;
-  std::vector<uint64_t> keys_;  // distinct, ascending
-  // Bucket i is docs_[offsets_[i], offsets_[i + 1]); size_t because
-  // docs x bands can pass 2^32 near Corpus::kMaxDocuments.
-  std::vector<size_t> offsets_;
-  std::vector<DocId> docs_;
+  BucketRun run_;
 };
 
 }  // namespace infoshield

@@ -1,6 +1,13 @@
 #include "coarse/coarse_clustering.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "coarse_reference.h"
+#include "datagen/trafficking_gen.h"
 
 namespace infoshield {
 namespace {
@@ -103,49 +110,97 @@ Corpus MixtureCorpus() {
   return c;
 }
 
+// Every thread count the tests sweep, 3 included so the bucket-run
+// merge sees an odd number of chunks.
+constexpr size_t kThreadCounts[] = {1, 2, 3, 4, 8};
+
+// Run must equal the serial edge replay (coarse_reference.h) field for
+// field at every thread count.
+void ExpectMatchesReference(const Corpus& corpus, CoarseOptions options,
+                            const std::string& label) {
+  const CoarseResult reference = reference::RunSerial(corpus, options);
+  for (size_t threads : kThreadCounts) {
+    options.num_threads = threads;
+    const CoarseResult run = CoarseClustering(options).Run(corpus);
+    const std::string where = label + " cap=" +
+                              std::to_string(options.max_phrase_degree) +
+                              " threads=" + std::to_string(threads);
+    EXPECT_EQ(run.clusters, reference.clusters) << where;
+    EXPECT_EQ(run.singletons, reference.singletons) << where;
+    EXPECT_EQ(run.doc_top_phrases, reference.doc_top_phrases) << where;
+    EXPECT_EQ(run.num_edges, reference.num_edges) << where;
+  }
+}
+
 TEST(CoarseTest, ParallelMatchesSerialReference) {
-  Corpus c = MixtureCorpus();
-  CoarseOptions serial_opts;
-  serial_opts.use_serial_coarse = true;
-  CoarseResult serial = CoarseClustering(serial_opts).Run(c);
-  EXPECT_EQ(serial.stats.parallel_threads, 1u);
+  const Corpus c = MixtureCorpus();
+  for (size_t cap : {0u, 1u, 3u}) {
+    CoarseOptions opts;
+    opts.max_phrase_degree = cap;
+    ExpectMatchesReference(c, opts, "mixture");
+  }
   for (size_t threads : {2u, 4u, 8u}) {
     CoarseOptions opts;
     opts.num_threads = threads;
-    CoarseResult parallel = CoarseClustering(opts).Run(c);
-    EXPECT_EQ(parallel.clusters, serial.clusters) << "threads=" << threads;
-    EXPECT_EQ(parallel.singletons, serial.singletons)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.doc_top_phrases, serial.doc_top_phrases)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.num_edges, serial.num_edges) << "threads=" << threads;
-    EXPECT_EQ(parallel.stats.parallel_threads, threads);
+    EXPECT_EQ(CoarseClustering(opts).Run(c).stats.parallel_threads, threads);
   }
 }
 
 TEST(CoarseTest, ParallelMatchesSerialWithPhraseDegreeCap) {
   // The degree cap is order-sensitive: only a hub phrase's first
-  // max_phrase_degree edges survive, so which documents "win" depends
-  // on edge order. The parallel path replays its collected edges in the
-  // serial (document, phrase-rank) order and must therefore cap the
-  // exact same edges.
+  // max_phrase_degree edges in doc-major order survive. The bucket run
+  // lists each phrase's documents ascending, so capping its first
+  // members must drop the exact edges the replay drops.
   Corpus c;
   for (int i = 0; i < 12; ++i) {
     c.Add("hub shared phrase everywhere plus suffix " + std::to_string(i) +
           " " + std::to_string(i * 3 + 50));
   }
-  CoarseOptions serial_opts;
-  serial_opts.max_phrase_degree = 3;
-  serial_opts.use_serial_coarse = true;
-  CoarseResult serial = CoarseClustering(serial_opts).Run(c);
-  CoarseOptions par_opts = serial_opts;
-  par_opts.use_serial_coarse = false;
-  par_opts.num_threads = 4;
-  CoarseResult parallel = CoarseClustering(par_opts).Run(c);
-  EXPECT_EQ(parallel.clusters, serial.clusters);
-  EXPECT_EQ(parallel.singletons, serial.singletons);
-  EXPECT_EQ(parallel.doc_top_phrases, serial.doc_top_phrases);
-  EXPECT_EQ(parallel.num_edges, serial.num_edges);
+  for (size_t cap : {0u, 1u, 3u}) {
+    CoarseOptions opts;
+    opts.max_phrase_degree = cap;
+    ExpectMatchesReference(c, opts, "hub");
+  }
+}
+
+TEST(CoarseTest, MatchesReferenceOnDegenerateCorpora) {
+  Corpus one;
+  one.Add("a single lonely document");
+  for (size_t cap : {0u, 1u, 3u}) {
+    CoarseOptions opts;
+    opts.max_phrase_degree = cap;
+    ExpectMatchesReference(Corpus(), opts, "empty");
+    ExpectMatchesReference(one, opts, "one doc");
+  }
+}
+
+TEST(CoarseTest, MatchesReferenceOnGiantComponent) {
+  // Single shared words as top phrases percolate the graph into one
+  // component holding most of the clustered documents.
+  TraffickingGenOptions gen;
+  gen.num_benign = 80;
+  gen.num_spam_clusters = 2;
+  gen.spam_cluster_size_min = 10;
+  gen.spam_cluster_size_max = 20;
+  gen.num_ht_clusters = 6;
+  gen.ht_cluster_size_min = 4;
+  gen.ht_cluster_size_max = 10;
+  const LabeledAds data = TraffickingGenerator(gen).Generate(/*seed=*/7);
+  CoarseOptions opts;
+  opts.tfidf.min_ngram = 1;
+  opts.tfidf.top_fraction = 0.3;
+  const CoarseResult uncapped = CoarseClustering(opts).Run(data.corpus);
+  size_t clustered = 0;
+  size_t largest = 0;
+  for (const std::vector<DocId>& cluster : uncapped.clusters) {
+    clustered += cluster.size();
+    largest = std::max(largest, cluster.size());
+  }
+  ASSERT_GT(2 * largest, clustered) << "corpus has no giant component";
+  for (size_t cap : {0u, 1u, 3u}) {
+    opts.max_phrase_degree = cap;
+    ExpectMatchesReference(data.corpus, opts, "giant");
+  }
 }
 
 TEST(CoarseTest, StatsCarryPerPhaseTimings) {

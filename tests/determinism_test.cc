@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "coarse_reference.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
@@ -38,12 +39,11 @@ std::string RunToJson(const Corpus& corpus, InfoShieldOptions options) {
 }
 
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
-                      bool naive_costing = false, bool serial_coarse = false,
+                      bool naive_costing = false,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
   options.fine.use_naive_costing = naive_costing;
-  options.coarse.use_serial_coarse = serial_coarse;
   options.coarse.backend = backend;
   return RunToJson(corpus, options);
 }
@@ -79,19 +79,25 @@ TEST(DeterminismTest, NaiveCostingIsByteIdenticalToOptimized) {
   }
 }
 
-TEST(DeterminismTest, SerialCoarseEscapeHatchIsByteIdentical) {
-  // The parallel coarse pipeline (per-thread sorted df runs,
-  // per-document top-phrase fan-out, sort-and-union edge replay) is
-  // required to be exact: CoarseOptions::use_serial_coarse re-runs the
-  // single-threaded reference, and the two must render to the same
-  // bytes at every thread count.
+TEST(DeterminismTest, CoarseStageMatchesSerialReference) {
+  // The coarse pipeline (per-thread df counting, per-document top-phrase
+  // fan-out, the bucket-run graph) is required to be exact: both
+  // backends must reproduce the single-threaded edge replay kept in
+  // coarse_reference.h at every thread count.
   LabeledAds data = MakeCorpus(/*seed=*/42);
-  const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
-                                       /*naive_costing=*/false,
-                                       /*serial_coarse=*/true);
-  for (size_t threads : {1u, 4u, 8u}) {
-    EXPECT_EQ(serial, RunToJson(data.corpus, threads))
-        << "parallel coarse diverged at num_threads=" << threads;
+  for (CoarseBackend backend :
+       {CoarseBackend::kTfidfGraph, CoarseBackend::kMinhashLsh}) {
+    CoarseOptions options;
+    options.backend = backend;
+    const CoarseResult serial = reference::RunSerial(data.corpus, options);
+    for (size_t threads : {1u, 4u, 8u}) {
+      options.num_threads = threads;
+      const CoarseResult run = CoarseClustering(options).Run(data.corpus);
+      EXPECT_EQ(run.clusters, serial.clusters) << "threads=" << threads;
+      EXPECT_EQ(run.singletons, serial.singletons) << "threads=" << threads;
+      EXPECT_EQ(run.doc_top_phrases, serial.doc_top_phrases)
+          << "threads=" << threads;
+    }
   }
 }
 
@@ -127,19 +133,17 @@ TEST(DeterminismTest, GiantComponentFanOutIsByteIdentical) {
 
 TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   // The MinHash/LSH coarse backend must honor the same contract as the
-  // tf-idf backend: signatures are pure per-document functions, band
-  // keys replay doc-major through the shared edge accumulator, so the
-  // serial escape hatch and any worker count render to the same bytes.
+  // tf-idf backend: signatures are pure per-document functions and the
+  // bucket run does not depend on the thread count, so any worker count
+  // renders to the same bytes.
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
                                        /*naive_costing=*/false,
-                                       /*serial_coarse=*/true,
                                        CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
-  for (size_t threads : {1u, 4u, 8u}) {
+  for (size_t threads : {4u, 8u}) {
     EXPECT_EQ(serial, RunToJson(data.corpus, threads,
                                 /*naive_costing=*/false,
-                                /*serial_coarse=*/false,
                                 CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;
   }

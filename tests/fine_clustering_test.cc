@@ -12,6 +12,7 @@
 
 #include "coarse/coarse_clustering.h"
 #include "datagen/trafficking_gen.h"
+#include "util/random.h"
 
 namespace infoshield {
 namespace {
@@ -710,6 +711,45 @@ TEST(FineClusteringReferenceTest, NaiveCostingAndProfileBackendMatch) {
   profile.msa_backend = MsaBackend::kProfile;
   ExpectMatchesReference(naive, c, {ids}, nullptr);
   ExpectMatchesReference(profile, c, {ids}, nullptr);
+}
+
+TEST(FineClusteringTest, TopPhraseOrderDoesNotReachResult) {
+  // The incremental engine marks a document changed only when its
+  // top-phrase SET changes, trusting that the claim scan sorts what it
+  // reads of a document's phrases. Shuffling every document's list
+  // (seeded) must therefore leave every result bit-identical.
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  CoarseResult trafficking = CoarseClustering().Run(g.data.corpus);
+  ASSERT_FALSE(trafficking.clusters.empty());
+  const CostModel cm = CostModel::ForVocabulary(g.data.corpus.vocab());
+  Rng rng(/*seed=*/29);
+  for (const CoarseResult* coarse : {&g.coarse, &trafficking}) {
+    std::vector<std::vector<PhraseHash>> shuffled = coarse->doc_top_phrases;
+    size_t reordered = 0;
+    for (std::vector<PhraseHash>& phrases : shuffled) {
+      const std::vector<PhraseHash> before = phrases;
+      rng.Shuffle(phrases);
+      if (phrases != before) ++reordered;
+    }
+    ASSERT_GT(reordered, 0u) << "the shuffle moved no list";
+    std::vector<const std::vector<DocId>*> clusters;
+    for (const std::vector<DocId>& c : coarse->clusters) {
+      clusters.push_back(&c);
+    }
+    for (size_t threads : {1u, 4u}) {
+      const FineClustering fine;
+      const std::vector<FineResult> want = fine.RunOnClusters(
+          g.data.corpus, clusters, cm, &coarse->doc_top_phrases, threads);
+      const std::vector<FineResult> got = fine.RunOnClusters(
+          g.data.corpus, clusters, cm, &shuffled, threads);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t ci = 0; ci < want.size(); ++ci) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + ", cluster " +
+                     std::to_string(ci));
+        ExpectSameFineResult(want[ci], got[ci]);
+      }
+    }
+  }
 }
 
 TEST(FineClusteringTest, DetectSlotsPublicApi) {

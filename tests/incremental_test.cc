@@ -132,9 +132,9 @@ TEST(IncrementalTest, RandomSplitPropertyTest) {
 }
 
 TEST(IncrementalTest, DegreeCapForcesRebuildAndStillMatches) {
-  // With a max_phrase_degree cap, the cap's edge drops depend on the
-  // canonical replay order, so any old-document change forces a graph
-  // rebuild — which must still land byte-exact on the oracle.
+  // With a max_phrase_degree cap, which edges the cap drops depends on
+  // each phrase's documents in doc order; the graph rebuilt from the
+  // bucket run every batch must still land byte-exact on the oracle.
   const std::vector<std::string> texts = GeneratedTexts(/*seed=*/21);
   InfoShieldOptions options;
   options.coarse.max_phrase_degree = 3;
@@ -182,7 +182,6 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   Result<IngestStats> s2 = engine.IngestBatch({a, a, a});
   ASSERT_TRUE(s2.ok());
   EXPECT_FALSE(s2->vocab_grew);
-  EXPECT_FALSE(s2->graph_rebuilt);
   ASSERT_EQ(s2->num_coarse_clusters, 2u);
   EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be a cache hit";
   EXPECT_EQ(s2->dirty_clusters, 1u);
@@ -192,6 +191,37 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   std::vector<std::string> all = first_batch;
   all.insert(all.end(), {a, a, a});
   EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
+}
+
+TEST(IncrementalTest, RepeatedTextsKeepTheCacheAndMatchOracle) {
+  // Batches that only repeat already-ingested texts add no vocabulary,
+  // so lg V holds still and the fine cache survives. N and df still
+  // move, so old documents' top-phrase sets change, and a cached
+  // cluster holding such a document must be re-fined.
+  const std::vector<std::string> base = GeneratedTexts(/*seed=*/8);
+  InfoShieldOptions options;
+  IncrementalInfoShield engine(options);
+  ASSERT_TRUE(engine.IngestBatch(base).ok());
+  std::vector<std::string> all = base;
+  Rng rng(/*seed=*/17);
+  size_t reused = 0;
+  size_t old_changed = 0;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<std::string> batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.push_back(base[rng.NextIndex(base.size())]);
+    }
+    Result<IngestStats> stats = engine.IngestBatch(batch);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_FALSE(stats->vocab_grew);
+    reused += stats->reused_clusters;
+    old_changed += stats->changed_docs - stats->batch_docs;
+    all.insert(all.end(), batch.begin(), batch.end());
+    ASSERT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options))
+        << "diverged after round " << round;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(old_changed, 0u);
 }
 
 TEST(IncrementalTest, NewVocabularyClearsTheFineCache) {

@@ -2,8 +2,9 @@
 // Jaccard-estimate concentration the banding threshold rests on,
 // parameter validation, banding structure, the sorted bucket run
 // against brute-force and naive-count references, the full kMinhashLsh
-// coarse path against the doc-major CoarseEdgeAccumulator replay it
-// replaces (with and without a degree cap), thread-count determinism,
+// coarse path against the doc-major edge replay kept in
+// coarse_reference.h (with and without a degree cap), thread-count
+// determinism,
 // and the empty/degenerate corpora the backend must not trip over.
 
 #include <algorithm>
@@ -18,8 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "coarse_reference.h"
 #include "datagen/neardup_gen.h"
-#include "graph/union_find.h"
 #include "lsh/lsh_index.h"
 #include "lsh/minhash.h"
 #include "text/corpus.h"
@@ -375,12 +376,10 @@ Corpus DuplicateFamilyCorpus() {
   return corpus;
 }
 
-CoarseResult RunLsh(const Corpus& corpus, size_t num_threads,
-                    bool serial = false) {
+CoarseResult RunLsh(const Corpus& corpus, size_t num_threads) {
   CoarseOptions options;
   options.backend = CoarseBackend::kMinhashLsh;
   options.num_threads = num_threads;
-  options.use_serial_coarse = serial;
   return CoarseClustering(options).Run(corpus);
 }
 
@@ -394,8 +393,8 @@ TEST(LshCoarseTest, ExactDuplicatesCluster) {
 
 TEST(LshCoarseTest, DeterministicAcrossThreadCounts) {
   const Corpus corpus = DuplicateFamilyCorpus();
-  const CoarseResult reference = RunLsh(corpus, 1, /*serial=*/true);
-  for (size_t threads : {1u, 4u, 8u}) {
+  const CoarseResult reference = RunLsh(corpus, 1);
+  for (size_t threads : {2u, 4u, 8u}) {
     const CoarseResult run = RunLsh(corpus, threads);
     EXPECT_EQ(run.clusters, reference.clusters) << "threads=" << threads;
     EXPECT_EQ(run.singletons, reference.singletons) << "threads=" << threads;
@@ -419,40 +418,20 @@ TEST(LshCoarseTest, EmptyAndSingleDocCorpora) {
   EXPECT_EQ(single.singletons, (std::vector<DocId>{0}));
 }
 
-// The coarse LSH path as it was written before the sorted bucket run:
-// MinHash signatures and band keys per document, then every (doc, band
-// key) edge replayed in ascending-doc order through
-// CoarseEdgeAccumulator's anchor/degree maps. Kept as the reference the
-// bucket-union path must reproduce.
-CoarseResult ReplayReference(const Corpus& corpus,
-                             const CoarseOptions& options) {
-  CoarseResult result;
-  const MinHashFamily family(options.minhash);
-  UnionFind uf(corpus.size());
-  CoarseEdgeAccumulator edges(options.max_phrase_degree, &uf);
-  for (const Document& doc : corpus.docs()) {
-    for (const uint64_t key :
-         BandKeys(family.Signature(doc.tokens), options.lsh)) {
-      ++result.num_edges;
-      edges.Add(doc.id, key);
-    }
-  }
-  if (corpus.size() > 0) EmitCoarseComponents(uf, options, &result);
-  return result;
-}
-
 void ExpectMatchesReplay(const Corpus& corpus, const std::string& label) {
   for (size_t cap : {0u, 1u, 3u}) {
     CoarseOptions options;
     options.backend = CoarseBackend::kMinhashLsh;
     options.max_phrase_degree = cap;
-    const CoarseResult reference = ReplayReference(corpus, options);
+    const CoarseResult reference = reference::RunSerial(corpus, options);
     for (size_t threads : kThreadCounts) {
       options.num_threads = threads;
       const CoarseResult run = CoarseClustering(options).Run(corpus);
       EXPECT_EQ(run.clusters, reference.clusters)
           << label << " cap=" << cap << " threads=" << threads;
       EXPECT_EQ(run.singletons, reference.singletons)
+          << label << " cap=" << cap << " threads=" << threads;
+      EXPECT_EQ(run.doc_top_phrases, reference.doc_top_phrases)
           << label << " cap=" << cap << " threads=" << threads;
       EXPECT_EQ(run.num_edges, reference.num_edges)
           << label << " cap=" << cap << " threads=" << threads;

@@ -417,7 +417,9 @@ def main():
                "real tree: lifetime report should carry the schema tag, "
                f"got {lifetime.get('schema')!r}")
         lsum = lifetime.get("summary", {})
-        expect(lsum.get("field_borrows", 0) >= 3 and
+        # The floor is the tree's current count of borrowed view fields
+        # (two); each must be found and carry its borrows() contract.
+        expect(lsum.get("field_borrows", 0) >= 2 and
                lsum.get("field_unannotated", 0) == 0 and
                lsum.get("field_owns", 0) == 0,
                "real tree: every view field must carry a reasoned "

@@ -49,11 +49,11 @@ int Main(int argc, char** argv) {
               "smallest coarse component kept (2 = drop singletons)")
       .AddInt("max-docs-per-template", 10,
               "member documents rendered per template (0 = all)")
-      .AddInt("threads", 1,
+      .AddInt("threads", 0,
               "worker threads for both stages: the coarse df index, "
               "top-phrase selection and graph, and the fine stage's "
-              "candidate-set fits (0 = all cores); results are identical "
-              "for any value")
+              "candidate-set fits (0 = all cores, the default; 1 = "
+              "sequential); results are identical for any value")
       .AddBool("color", true, "ANSI colors in terminal output")
       .AddBool("stats", true, "print per-cluster compression statistics")
       .AddBool("rank", true,
