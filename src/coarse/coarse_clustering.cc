@@ -41,6 +41,31 @@ void EmitBucketComponents(const BucketRun& run, const CoarseOptions& options,
 }
 
 // analyzer: hot
+std::vector<std::vector<PhraseHash>> SelectTopPhrases(const TfidfIndex& index,
+                                                      const Corpus& corpus,
+                                                      size_t num_threads) {
+  // df is frozen, so TopPhrases is a pure function of the document.
+  // Workers own contiguous document chunks and write only their chunk's
+  // slots.
+  const size_t n = corpus.size();
+  std::vector<std::vector<PhraseHash>> doc_top_phrases(n);
+  const size_t num_chunks = std::min(n, num_threads * 4);
+  ThreadPool::ParallelFor(num_threads, num_chunks, [&](size_t chunk) {
+    const size_t end = (chunk + 1) * n / num_chunks;
+    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
+      // analyzer: allow(hot-loop-alloc) -- TopPhrases returns by value
+      // (one move per document, the API contract).
+      const std::vector<ScoredPhrase> scored =
+          index.TopPhrases(corpus.docs()[d]);
+      std::vector<PhraseHash>& top = doc_top_phrases[d];
+      top.reserve(scored.size());
+      for (const ScoredPhrase& phrase : scored) top.push_back(phrase.hash);
+    }
+  });
+  return doc_top_phrases;
+}
+
+// analyzer: hot
 CoarseResult CoarseClustering::Run(const Corpus& corpus) const {
   const size_t threads = ThreadPool::ResolveNumThreads(options_.num_threads);
   if (options_.backend == CoarseBackend::kMinhashLsh) {
@@ -56,24 +81,8 @@ CoarseResult CoarseClustering::Run(const Corpus& corpus) const {
   index.Build(corpus, options_.tfidf, threads);
   result.stats.index_seconds = timer.ElapsedSeconds();
 
-  // Top-phrase selection: df is frozen, so TopPhrases is a pure function
-  // of the document. Workers own contiguous document chunks and write
-  // only their chunk's doc_top_phrases slots.
   timer.Restart();
-  result.doc_top_phrases.resize(n);
-  const size_t num_chunks = std::min(n, threads * 4);
-  ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-    const size_t end = (chunk + 1) * n / num_chunks;
-    for (size_t d = chunk * n / num_chunks; d < end; ++d) {
-      // analyzer: allow(hot-loop-alloc) -- TopPhrases returns by value
-      // (one move per document, the API contract).
-      const std::vector<ScoredPhrase> scored =
-          index.TopPhrases(corpus.docs()[d]);
-      std::vector<PhraseHash>& top = result.doc_top_phrases[d];
-      top.reserve(scored.size());
-      for (const ScoredPhrase& phrase : scored) top.push_back(phrase.hash);
-    }
-  });
+  result.doc_top_phrases = SelectTopPhrases(index, corpus, threads);
   for (const std::vector<PhraseHash>& top : result.doc_top_phrases) {
     result.num_edges += top.size();
   }

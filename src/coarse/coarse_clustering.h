@@ -149,6 +149,15 @@ void EmitCoarseComponents(UnionFind& uf, const CoarseOptions& options,
 void EmitBucketComponents(const BucketRun& run, const CoarseOptions& options,
                           CoarseResult* result);
 
+// Every document's top-phrase hashes under `index` (TopPhrases, best
+// first), indexed by DocId. The documents split into contiguous chunks
+// over `num_threads` workers (already resolved, >= 1); the result is the
+// same for any thread count. The tf-idf backend and the incremental
+// engine both select through it.
+std::vector<std::vector<PhraseHash>> SelectTopPhrases(const TfidfIndex& index,
+                                                      const Corpus& corpus,
+                                                      size_t num_threads);
+
 class CoarseClustering {
  public:
   CoarseClustering() = default;

@@ -1,6 +1,8 @@
 #include "core/infoshield.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/audit.h"
 #include "util/status.h"
@@ -17,10 +19,50 @@ size_t InfoShieldResult::num_suspicious() const {
   return n;
 }
 
+void AssembleResult(const CoarseResult& coarse,
+                    std::vector<FineResult>* fine_results,
+                    const CostModel& cost_model, size_t num_docs,
+                    InfoShieldResult* result) {
+  result->doc_template.assign(num_docs, -1);
+  result->num_coarse_clusters = coarse.clusters.size();
+  result->num_singletons = coarse.singletons.size();
+  size_t total_templates = 0;
+  for (const FineResult& fr : *fine_results) {
+    total_templates += fr.templates.size();
+  }
+  result->cluster_stats.reserve(coarse.clusters.size());
+  result->templates.reserve(total_templates);
+  result->template_coarse_cluster.reserve(total_templates);
+  for (size_t ci = 0; ci < coarse.clusters.size(); ++ci) {
+    FineResult& fr = (*fine_results)[ci];
+    result->fine_stats.MergeFrom(fr.stats);
+
+    ClusterStats stats;
+    stats.coarse_cluster_index = ci;
+    stats.num_docs = coarse.clusters[ci].size();
+    stats.num_templates = fr.templates.size();
+    stats.cost_before = fr.cost_before;
+    stats.cost_after = fr.cost_after;
+    stats.relative_length = fr.relative_length();
+    stats.lower_bound = RelativeLengthLowerBound(
+        std::max<size_t>(fr.templates.size(), 1), stats.num_docs,
+        cost_model.lg_vocab());
+    result->cluster_stats.push_back(stats);
+
+    for (TemplateCluster& tc : fr.templates) {
+      const int64_t template_index =
+          static_cast<int64_t>(result->templates.size());
+      for (DocId d : tc.members) {
+        result->doc_template[d] = template_index;
+      }
+      result->templates.push_back(std::move(tc));
+      result->template_coarse_cluster.push_back(ci);
+    }
+  }
+}
+
 InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
   InfoShieldResult result;
-  result.doc_template.assign(corpus.size(), -1);
-
   WallTimer timer;
   CoarseOptions coarse_options = options_.coarse;
   coarse_options.num_threads = options_.num_threads;
@@ -28,8 +70,6 @@ InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
   CoarseResult coarse_result = coarse.Run(corpus);
   result.coarse_seconds = timer.ElapsedSeconds();
   result.coarse_stats = coarse_result.stats;
-  result.num_coarse_clusters = coarse_result.clusters.size();
-  result.num_singletons = coarse_result.singletons.size();
 
   timer.Restart();
   const CostModel cost_model = CostModel::ForVocabulary(corpus.vocab());
@@ -46,32 +86,8 @@ InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
           .RunOnClusters(corpus, clusters, cost_model,
                          &coarse_result.doc_top_phrases,
                          options_.num_threads);
-  for (size_t ci = 0; ci < coarse_result.clusters.size(); ++ci) {
-    FineResult& fr = fine_results[ci];
-    result.fine_stats.MergeFrom(fr.stats);
-
-    ClusterStats stats;
-    stats.coarse_cluster_index = ci;
-    stats.num_docs = coarse_result.clusters[ci].size();
-    stats.num_templates = fr.templates.size();
-    stats.cost_before = fr.cost_before;
-    stats.cost_after = fr.cost_after;
-    stats.relative_length = fr.relative_length();
-    stats.lower_bound = RelativeLengthLowerBound(
-        std::max<size_t>(fr.templates.size(), 1), stats.num_docs,
-        cost_model.lg_vocab());
-    result.cluster_stats.push_back(stats);
-
-    for (TemplateCluster& tc : fr.templates) {
-      const int64_t template_index =
-          static_cast<int64_t>(result.templates.size());
-      for (DocId d : tc.members) {
-        result.doc_template[d] = template_index;
-      }
-      result.templates.push_back(std::move(tc));
-      result.template_coarse_cluster.push_back(ci);
-    }
-  }
+  AssembleResult(coarse_result, &fine_results, cost_model, corpus.size(),
+                 &result);
   result.fine_seconds = timer.ElapsedSeconds();
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInfoShieldResult(result, corpus));
   return result;

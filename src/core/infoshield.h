@@ -14,6 +14,7 @@
 
 #include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
+#include "mdl/cost_model.h"
 #include "text/corpus.h"
 #include "util/status.h"
 
@@ -83,6 +84,18 @@ class InfoShield {
  private:
   InfoShieldOptions options_;
 };
+
+// Merges the per-cluster fine results (parallel to coarse.clusters) into
+// an empty `result` in cluster order: doc_template (one label for each
+// of `num_docs` documents), the coarse counts, the cluster stats, the
+// templates (moved out of `fine_results`) with their coarse cluster,
+// and the summed fine_stats. InfoShield::Run and the
+// incremental engine both assemble through it, so the two results agree
+// field for field.
+void AssembleResult(const CoarseResult& coarse,
+                    std::vector<FineResult>* fine_results,
+                    const CostModel& cost_model, size_t num_docs,
+                    InfoShieldResult* result);
 
 // Deep invariant audit (util/audit.h): every template cluster validates
 // against the corpus, doc_template is a consistent inverse of the

@@ -29,7 +29,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
     const std::vector<std::string>& texts) {
   IngestStats stats;
   stats.total_docs = corpus_.size();
-  stats.generation = df_table_.generation();
+  stats.generation = generation_;
   if (texts.empty()) return stats;
 
   const size_t threads = ThreadPool::ResolveNumThreads(options_.num_threads);
@@ -42,45 +42,32 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   stats.total_docs = new_size;
 
   // --- df delta: per-document-deduplicated phrase counts for the new
-  // documents only, folded into the snapshot table. Additivity makes the
-  // folded table equal a from-scratch build over all new_size documents.
-  // The delta keeps every phrase (min_df = 1): df 1 now can be 2 later.
+  // documents only, added into the every-phrase run. Additivity makes
+  // the sum equal a from-scratch count over all new_size documents. The
+  // delta keeps every phrase (min_df = 1): df 1 now can be 2 later.
   WallTimer timer;
-  {
-    DfRun delta =
-        CountDocumentFrequencies(corpus_, old_size, new_size,
-                                 options_.coarse.tfidf.max_ngram, threads);
-    df_table_.ApplyBatch(&delta, new_size - old_size);
-  }
-  const uint64_t generation = df_table_.generation();
+  AddDfRun(CountDocumentFrequencies(corpus_, old_size, new_size,
+                                    options_.coarse.tfidf.max_ngram, threads),
+           &df_run_);
+  const uint64_t generation = ++generation_;
   stats.generation = generation;
   stats.df_seconds = timer.ElapsedSeconds();
 
-  // --- rescore every document's top phrases against the new snapshot.
+  // --- rescore every document's top phrases against the new counts.
   // N changed, so idf moved for every phrase and even untouched
-  // documents can reorder their top list; scoring is pure and per-
-  // document, so it fans out, and the diff below confines the expensive
-  // consequence (fine work) to documents that actually changed.
+  // documents can reorder their top list; the diff below confines the
+  // expensive consequence (fine work) to documents that actually
+  // changed.
   timer.Restart();
-  TfidfIndex index;
-  index.BuildFromSnapshot(df_table_.Snapshot(), options_.coarse.tfidf);
-  std::vector<std::vector<PhraseHash>> new_top(new_size);
-  const size_t num_chunks = std::min(new_size, threads * 4);
-  ThreadPool::ParallelFor(threads, num_chunks, [&](size_t chunk) {
-    const size_t begin = chunk * new_size / num_chunks;
-    const size_t end = (chunk + 1) * new_size / num_chunks;
-    for (size_t d = begin; d < end; ++d) {
-      // analyzer: allow(hot-loop-alloc) -- TopPhrases returns its scored
-      // list by value (one move per document, the API contract).
-      const std::vector<ScoredPhrase> scored =
-          index.TopPhrases(corpus_.docs()[d]);
-      std::vector<PhraseHash>& top = new_top[d];
-      top.reserve(scored.size());
-      for (const ScoredPhrase& phrase : scored) {
-        top.push_back(phrase.hash);
-      }
-    }
-  });
+  std::vector<std::vector<PhraseHash>> new_top;
+  {
+    // By value: the index drops the phrases below min_df from its copy,
+    // and df_run_ keeps them for later batches. The copy is freed before
+    // the fine stage.
+    TfidfIndex index;
+    index.Build(df_run_, new_size, options_.coarse.tfidf);
+    new_top = SelectTopPhrases(index, corpus_, threads);
+  }
   stats.rescore_seconds = timer.ElapsedSeconds();
 
   // --- diff against the previous generation's top phrases. A document
@@ -176,45 +163,9 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
     fine_cache_.emplace(entry.members.front(), std::move(entry));
   }
 
-  // --- assemble, replicating InfoShield::Run's merge loop so the
-  // result is field-for-field what the batch pipeline would build.
+  // --- assemble through the batch pipeline's own merge.
   InfoShieldResult result;
-  result.doc_template.assign(corpus_.size(), -1);
-  result.num_coarse_clusters = components.clusters.size();
-  result.num_singletons = components.singletons.size();
-  result.cluster_stats.reserve(num_clusters);
-  size_t total_templates = 0;
-  for (const FineResult& fr : fine_results) {
-    total_templates += fr.templates.size();
-  }
-  result.templates.reserve(total_templates);
-  result.template_coarse_cluster.reserve(total_templates);
-  for (size_t ci = 0; ci < num_clusters; ++ci) {
-    FineResult& fr = fine_results[ci];
-    result.fine_stats.MergeFrom(fr.stats);
-
-    ClusterStats cluster_stats;
-    cluster_stats.coarse_cluster_index = ci;
-    cluster_stats.num_docs = components.clusters[ci].size();
-    cluster_stats.num_templates = fr.templates.size();
-    cluster_stats.cost_before = fr.cost_before;
-    cluster_stats.cost_after = fr.cost_after;
-    cluster_stats.relative_length = fr.relative_length();
-    cluster_stats.lower_bound = RelativeLengthLowerBound(
-        std::max<size_t>(fr.templates.size(), 1), cluster_stats.num_docs,
-        cost_model.lg_vocab());
-    result.cluster_stats.push_back(cluster_stats);
-
-    for (TemplateCluster& tc : fr.templates) {
-      const int64_t template_index =
-          static_cast<int64_t>(result.templates.size());
-      for (DocId d : tc.members) {
-        result.doc_template[d] = template_index;
-      }
-      result.templates.push_back(std::move(tc));
-      result.template_coarse_cluster.push_back(ci);
-    }
-  }
+  AssembleResult(components, &fine_results, cost_model, new_size, &result);
   stats.fine_seconds = timer.ElapsedSeconds();
   result_ = std::move(result);
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
@@ -222,25 +173,21 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
 }
 
 Status IncrementalInfoShield::ValidateInvariants() const {
-  INFOSHIELD_RETURN_IF_ERROR(df_table_.ValidateInvariants());
   audit::Auditor a("IncrementalInfoShield");
   const size_t n = corpus_.size();
+  AuditDfRun(df_run_, 1, n, &a);
   a.Expect(doc_top_phrases_.size() == n,
            StrFormat("doc_top_phrases has %zu entries for %zu documents",
                      doc_top_phrases_.size(), n));
   a.Expect(doc_changed_gen_.size() == n,
            StrFormat("doc_changed_gen has %zu entries for %zu documents",
                      doc_changed_gen_.size(), n));
-  a.Expect(df_table_.num_documents() == n,
-           StrFormat("df table counts %zu documents but the corpus holds "
-                     "%zu",
-                     df_table_.num_documents(), n));
-  const uint64_t generation = df_table_.generation();
+  const uint64_t generation = generation_;
   for (size_t d = 0; d < doc_changed_gen_.size(); ++d) {
     if (doc_changed_gen_[d] > generation) {
       a.Expect(false,
                StrFormat("document %zu changed at generation %llu, beyond "
-                         "the table's %llu",
+                         "the engine's %llu",
                          d,
                          static_cast<unsigned long long>(doc_changed_gen_[d]),
                          static_cast<unsigned long long>(generation)));
@@ -259,7 +206,7 @@ Status IncrementalInfoShield::ValidateInvariants() const {
     }
     a.Expect(entry.generation <= generation,
              StrFormat("cache entry %u computed at generation %llu, beyond "
-                       "the table's %llu",
+                       "the engine's %llu",
                        key,
                        static_cast<unsigned long long>(entry.generation),
                        static_cast<unsigned long long>(generation)));

@@ -11,10 +11,12 @@
 // additive or cheap to replay:
 //
 //   df table    — document frequency is a commutative integer sum, so a
-//                 batch folds in exactly (SnapshotDfTable::ApplyBatch);
-//                 readers score against a frozen snapshot.
+//                 batch's df run adds into the engine's every-phrase run
+//                 exactly (AddDfRun, one linear merge), and the index
+//                 built from a copy of it equals the batch index.
 //   top phrases — idf = lg(N/df) moves for EVERY phrase when N grows,
-//                 so all documents are rescored each ingest. This is the
+//                 so all documents are rescored each ingest through the
+//                 batch coarse stage's SelectTopPhrases. This is the
 //                 cheap, embarrassingly-parallel part of the pipeline;
 //                 the savings target is the fine stage below.
 //   graph       — rebuilt every batch from the bucket run of all
@@ -32,7 +34,8 @@
 //                 depends on nothing but its members' tokens, their
 //                 top-phrase sets (the fine stage sorts what it reads,
 //                 so rank order never reaches it), and the cost model,
-//                 so the cached FineResult is exact.
+//                 so the cached FineResult is exact. Results are
+//                 assembled by the batch pipeline's AssembleResult.
 //
 // Per-batch cost therefore scales with the size of the components the
 // batch touches, not with the corpus (the acceptance criterion
@@ -53,7 +56,7 @@
 #include "text/corpus.h"
 #include "text/ngram.h"
 #include "text/tokenizer.h"
-#include "tfidf/snapshot_df_table.h"
+#include "tfidf/df_run.h"
 #include "util/status.h"
 
 namespace infoshield {
@@ -84,7 +87,7 @@ struct IngestStats {
   // Documents inside the dirty clusters — the "touched-component size"
   // that per-batch cost is supposed to track.
   size_t dirty_cluster_docs = 0;
-  // df generation after this ingest.
+  // Generation after this ingest: the number of non-empty batches.
   uint64_t generation = 0;
   // Wall-clock breakdown in seconds.
   double df_seconds = 0.0;
@@ -116,17 +119,17 @@ class IncrementalInfoShield {
   const InfoShieldResult& result() const { return result_; }
   const Corpus& corpus() const { return corpus_; }
   const InfoShieldOptions& options() const { return options_; }
-  uint64_t generation() const { return df_table_.generation(); }
+  uint64_t generation() const { return generation_; }
 
-  // Deep invariant audit (util/audit.h): the df table validates,
-  // per-document state arrays line up,
+  // Deep invariant audit (util/audit.h): the df run's keys ascend with
+  // every count in [1, N], per-document state arrays line up,
   // every cached fine entry's members exist, and the assembled result
   // validates against the corpus. Returns OK or an Internal status
   // listing every violation.
   Status ValidateInvariants() const;
 
  private:
-  // One cached fine-stage output. `generation` is the df generation the
+  // One cached fine-stage output. `generation` is the generation the
   // result was computed at; the entry is reusable while every member's
   // doc_changed_gen_ stays <= it (and lg V holds still).
   struct CachedFine {
@@ -137,7 +140,11 @@ class IncrementalInfoShield {
 
   InfoShieldOptions options_;
   Corpus corpus_;
-  SnapshotDfTable df_table_;
+  // Every phrase's document frequency over the whole corpus (min_df 1:
+  // a df-1 phrase can reach min_df in a later batch).
+  DfRun df_run_;
+  // +1 per non-empty batch; stamps doc_changed_gen_ and the cache.
+  uint64_t generation_ = 0;
 
   // Per-document state, indexed by DocId.
   // analyzer: allow(race-infer) -- fine workers only read it

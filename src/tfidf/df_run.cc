@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace infoshield {
@@ -122,6 +124,47 @@ DfRun CountDocumentFrequencies(const Corpus& corpus, size_t begin,
     part = DfRun();
   }
   return run;
+}
+
+void AddDfRun(const DfRun& delta, DfRun* total) {
+  DfRun sum;
+  sum.keys.reserve(total->keys.size() + delta.keys.size());
+  sum.counts.reserve(total->keys.size() + delta.keys.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < total->keys.size() || j < delta.keys.size()) {
+    if (j == delta.keys.size() ||
+        (i < total->keys.size() && total->keys[i] < delta.keys[j])) {
+      sum.keys.push_back(total->keys[i]);
+      sum.counts.push_back(total->counts[i++]);
+    } else if (i == total->keys.size() || delta.keys[j] < total->keys[i]) {
+      sum.keys.push_back(delta.keys[j]);
+      sum.counts.push_back(delta.counts[j++]);
+    } else {
+      sum.keys.push_back(total->keys[i]);
+      sum.counts.push_back(total->counts[i++] + delta.counts[j++]);
+    }
+  }
+  *total = std::move(sum);
+}
+
+void AuditDfRun(const DfRun& run, size_t min_count, size_t max_count,
+                audit::Auditor* a) {
+  a->Expect(run.counts.size() == run.keys.size(),
+            StrFormat("%zu keys but %zu counts", run.keys.size(),
+                      run.counts.size()));
+  for (size_t i = 0; i < run.keys.size() && i < run.counts.size(); ++i) {
+    if (i > 0 && run.keys[i - 1] >= run.keys[i]) {
+      a->Expect(false, StrFormat("keys #%zu..#%zu not strictly ascending",
+                                 i - 1, i));
+    }
+    if (run.counts[i] < min_count || run.counts[i] > max_count) {
+      a->Expect(false,
+                StrFormat("phrase %llu has df %u outside [%zu, %zu]",
+                          static_cast<unsigned long long>(run.keys[i]),
+                          run.counts[i], min_count, max_count));
+    }
+  }
 }
 
 }  // namespace infoshield

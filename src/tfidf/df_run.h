@@ -1,6 +1,6 @@
-// Sorted (phrase, count) runs: the one document-frequency counter behind
-// both the batch df index and the incremental snapshot delta
-// (DESIGN.md §11, §15).
+// Sorted (phrase, count) runs: the one document-frequency table behind
+// both the batch df index and the incremental engine (DESIGN.md §11,
+// §15).
 //
 // A run holds the per-document-deduplicated document frequencies of a
 // contiguous document range as two parallel arrays sorted by hash. It is
@@ -10,7 +10,9 @@
 // its own, small enough to stay in cache. The buckets partition the key
 // space in ascending order, so concatenating their runs gives the sorted
 // run, and the counts never depend on which thread counted which
-// document.
+// document. Runs over consecutive document ranges add up (AddDfRun) to
+// the run of their union, which is how the incremental engine folds in
+// each batch.
 
 #ifndef INFOSHIELD_TFIDF_DF_RUN_H_
 #define INFOSHIELD_TFIDF_DF_RUN_H_
@@ -21,6 +23,7 @@
 
 #include "text/corpus.h"
 #include "text/ngram.h"
+#include "util/audit.h"
 
 namespace infoshield {
 
@@ -39,6 +42,16 @@ struct DfRun {
 DfRun CountDocumentFrequencies(const Corpus& corpus, size_t begin,
                                size_t end, size_t max_ngram,
                                size_t num_threads = 1, size_t min_df = 1);
+
+// Adds `delta` into `total`: one linear merge of the two sorted runs
+// that sums the counts of equal keys. With both counted at min_df 1 over
+// disjoint document ranges, the sum is the run of their union.
+void AddDfRun(const DfRun& delta, DfRun* total);
+
+// Audits a run into `a`: the arrays line up, keys are strictly
+// ascending and every count lies in [min_count, max_count].
+void AuditDfRun(const DfRun& run, size_t min_count, size_t max_count,
+                audit::Auditor* a);
 
 }  // namespace infoshield
 

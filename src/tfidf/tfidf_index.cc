@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tfidf/df_run.h"
 #include "util/audit.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -14,51 +13,50 @@ namespace infoshield {
 
 void TfidfIndex::Build(const Corpus& corpus, const TfidfOptions& options,
                        size_t num_threads) {
+  Build(CountDocumentFrequencies(corpus, 0, corpus.size(), options.max_ngram,
+                                 num_threads,
+                                 std::max<size_t>(options.min_df, 1)),
+        corpus.size(), options);
+}
+
+void TfidfIndex::Build(DfRun counts, size_t num_documents,
+                       const TfidfOptions& options) {
   options_ = options;
-  num_documents_ = corpus.size();
-  from_snapshot_ = false;
-  snapshot_ = DfSnapshot();
+  num_documents_ = num_documents;
+  run_ = std::move(counts);
   // TopPhrases rejects every phrase with df < min_df, so the index keeps
   // only the others: a pruned phrase reads df 0, rejected the same way.
-  DfRun run = CountDocumentFrequencies(
-      corpus, 0, corpus.size(), options_.max_ngram, num_threads,
-      std::max<size_t>(options_.min_df, 1));
-  keys_ = std::move(run.keys);
-  dfs_ = std::move(run.counts);
+  const size_t min_df = std::max<size_t>(options_.min_df, 1);
+  size_t kept = 0;
+  for (size_t i = 0; i < run_.keys.size(); ++i) {
+    if (run_.counts[i] < min_df) continue;
+    run_.keys[kept] = run_.keys[i];
+    run_.counts[kept++] = run_.counts[i];
+  }
+  run_.keys.resize(kept);
+  run_.counts.resize(kept);
 
   // Directory over the top bits, one to two keys per bucket
   // (DESIGN.md §11 has the measured alternatives).
+  const std::vector<PhraseHash>& keys = run_.keys;
   const int bits =
-      std::max(1, static_cast<int>(std::bit_width(keys_.size())) - 1);
+      std::max(1, static_cast<int>(std::bit_width(keys.size())) - 1);
   dir_shift_ = 64 - bits;
   dir_.assign((size_t{1} << bits) + 1, 0);
   size_t i = 0;
   for (size_t b = 0; b + 1 < dir_.size(); ++b) {
     dir_[b] = static_cast<uint32_t>(i);
-    while (i < keys_.size() && (keys_[i] >> dir_shift_) == b) ++i;
+    while (i < keys.size() && (keys[i] >> dir_shift_) == b) ++i;
   }
-  dir_.back() = static_cast<uint32_t>(keys_.size());
-  INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
-}
-
-void TfidfIndex::BuildFromSnapshot(const DfSnapshot& snapshot,
-                                   const TfidfOptions& options) {
-  options_ = options;
-  num_documents_ = snapshot.num_documents();
-  from_snapshot_ = true;
-  snapshot_ = snapshot;
-  keys_.clear();
-  dfs_.clear();
-  dir_.clear();
+  dir_.back() = static_cast<uint32_t>(keys.size());
   INFOSHIELD_AUDIT_INVARIANTS(ValidateInvariants());
 }
 
 size_t TfidfIndex::DocumentFrequency(PhraseHash phrase) const {
-  if (from_snapshot_) return snapshot_.DocumentFrequency(phrase);
   if (dir_.empty()) return 0;
   const size_t bucket = static_cast<size_t>(phrase >> dir_shift_);
   for (size_t i = dir_[bucket]; i < dir_[bucket + 1]; ++i) {
-    if (keys_[i] == phrase) return dfs_[i];
+    if (run_.keys[i] == phrase) return run_.counts[i];
   }
   return 0;
 }
@@ -128,28 +126,10 @@ Status TfidfIndex::ValidateInvariants() const {
            StrFormat("top_fraction %.3f outside [0, 1]",
                      options_.top_fraction));
   a.Expect(options_.max_ngram >= 1, "max_ngram is 0");
-  if (from_snapshot_) {
-    a.Expect(keys_.empty(), "snapshot-backed index also owns df arrays");
-    a.Expect(num_documents_ == snapshot_.num_documents(),
-             StrFormat("index says %zu documents but its snapshot says %zu",
-                       num_documents_, snapshot_.num_documents()));
-    return a.Finish();
-  }
-  a.Expect(dfs_.size() == keys_.size(),
-           StrFormat("%zu keys but %zu dfs", keys_.size(), dfs_.size()));
-  const size_t min_df = std::max<size_t>(options_.min_df, 1);
-  for (size_t i = 0; i < keys_.size() && i < dfs_.size(); ++i) {
-    if (i > 0 && keys_[i - 1] >= keys_[i]) {
-      a.Expect(false, StrFormat("keys #%zu..#%zu not strictly ascending",
-                                i - 1, i));
-    }
-    if (dfs_[i] < min_df || dfs_[i] > num_documents_) {
-      a.Expect(false,
-               StrFormat("phrase %llu has df %u outside [%zu, %zu]",
-                         static_cast<unsigned long long>(keys_[i]), dfs_[i],
-                         min_df, num_documents_));
-    }
-    if (DocumentFrequency(keys_[i]) != dfs_[i]) {
+  AuditDfRun(run_, std::max<size_t>(options_.min_df, 1), num_documents_,
+             &a);
+  for (size_t i = 0; i < run_.keys.size() && i < run_.counts.size(); ++i) {
+    if (DocumentFrequency(run_.keys[i]) != run_.counts[i]) {
       a.Expect(false, StrFormat("phrase #%zu unreachable through the "
                                 "directory", i));
     }

@@ -21,7 +21,7 @@
 
 #include "text/corpus.h"
 #include "text/ngram.h"
-#include "tfidf/snapshot_df_table.h"
+#include "tfidf/df_run.h"
 #include "util/status.h"
 
 namespace infoshield {
@@ -60,26 +60,20 @@ class TfidfIndex {
   // Scans the corpus and builds the document-frequency table
   // (df_run.h): one contiguous document chunk per thread (0 = hardware
   // concurrency) buckets its hashes by top bits, and the buckets are
-  // counted into flat sorted arrays. The table keeps only phrases with
-  // df >= min_df, the only ones TopPhrases can select, and is identical
-  // for any thread count.
+  // counted, with min_df, into flat sorted arrays that move into the
+  // run build below. The table is identical for any thread count.
   void Build(const Corpus& corpus, const TfidfOptions& options,
              size_t num_threads = 1);
 
-  // Points the index at a frozen df snapshot (snapshot_df_table.h)
-  // instead of scanning a corpus: no df maps are copied, so this is
-  // O(1). Scoring then reads the snapshot's generation no matter what
-  // later ApplyBatch calls do to the underlying table. Because df
-  // accumulation is additive, an index built from a snapshot covering
-  // documents [0, N) scores byte-identically to Build over those same
-  // N documents — the bridge the incremental path's differential oracle
-  // rests on.
-  void BuildFromSnapshot(const DfSnapshot& snapshot,
-                         const TfidfOptions& options);
+  // Builds the index from the df run of `num_documents` documents: keeps
+  // only the phrases with df >= max(min_df, 1), the only ones TopPhrases
+  // can select, and indexes them. The incremental engine passes a copy
+  // of its every-phrase run; because df counts add up, the index equals
+  // Build over the same documents.
+  void Build(DfRun counts, size_t num_documents, const TfidfOptions& options);
 
-  // Document frequency of a phrase: 0 if unseen and, after Build, also 0
-  // if its df is below options().min_df (the index does not keep it).
-  // After BuildFromSnapshot every df is exact.
+  // Document frequency of a phrase: 0 if unseen, and also 0 if its df is
+  // below options().min_df (the index does not keep it).
   size_t DocumentFrequency(PhraseHash phrase) const;
 
   // The top phrases of one document by tf-idf, best first.
@@ -90,15 +84,13 @@ class TfidfIndex {
   double Score(PhraseHash phrase, size_t tf) const;
 
   size_t num_documents() const { return num_documents_; }
-  // The number of phrases the index keeps: after Build, those with
-  // df >= min_df; after BuildFromSnapshot, every phrase of the snapshot.
-  size_t num_phrases() const {
-    return from_snapshot_ ? snapshot_.num_phrases() : keys_.size();
-  }
+  // The number of phrases the index keeps: those with df >= min_df.
+  size_t num_phrases() const { return run_.keys.size(); }
   const TfidfOptions& options() const { return options_; }
 
-  // Deep invariant audit (util/audit.h): after Build every stored
-  // document frequency lies in [max(min_df, 1), num_documents], and the
+  // Deep invariant audit (util/audit.h): the kept run's keys ascend,
+  // every stored document frequency lies in [max(min_df, 1),
+  // num_documents] and is reachable through the directory, and the
   // stored options are sane. Returns OK or an Internal status listing
   // every violation.
   Status ValidateInvariants() const;
@@ -113,17 +105,12 @@ class TfidfIndex {
 
   TfidfOptions options_;
   size_t num_documents_ = 0;
-  // Exactly one df source is active: the owned arrays (after Build) or
-  // the frozen snapshot (after BuildFromSnapshot).
-  bool from_snapshot_ = false;
-  // keys_ ascending, dfs_[i] the df of keys_[i]. dir_[b] is the first
-  // index whose key's top bits (key >> dir_shift_) are >= b, so a lookup
-  // scans only the one to two keys of its bucket.
-  std::vector<PhraseHash> keys_;
-  std::vector<uint32_t> dfs_;
+  // The kept phrases and their dfs. dir_[b] is the first index whose
+  // key's top bits (key >> dir_shift_) are >= b, so a lookup scans only
+  // the one to two keys of its bucket.
+  DfRun run_;
   std::vector<uint32_t> dir_;
   int dir_shift_ = 64;
-  DfSnapshot snapshot_;
 };
 
 // Audits a TopPhrases result: scores are finite, the list is sorted by

@@ -64,7 +64,9 @@ class UnionFindTestPeer {
 
 class TfidfIndexTestPeer {
  public:
-  static std::vector<uint32_t>& Dfs(TfidfIndex& index) { return index.dfs_; }
+  static std::vector<uint32_t>& Dfs(TfidfIndex& index) {
+    return index.run_.counts;
+  }
 };
 
 namespace {

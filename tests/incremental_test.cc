@@ -8,14 +8,18 @@
 
 #include "incremental/incremental_infoshield.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "coarse/coarse_clustering.h"
+#include "core/fine_clustering.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
 #include "io/json_writer.h"
+#include "mdl/cost_model.h"
 #include "util/random.h"
 
 namespace infoshield {
@@ -222,6 +226,93 @@ TEST(IncrementalTest, RepeatedTextsKeepTheCacheAndMatchOracle) {
   }
   EXPECT_GT(reused, 0u);
   EXPECT_GT(old_changed, 0u);
+}
+
+// Each template's member list plus the cluster's noise: what a fine
+// result reports about its documents.
+std::vector<std::vector<DocId>> FineGroups(const FineResult& result) {
+  std::vector<std::vector<DocId>> groups;
+  for (const TemplateCluster& tc : result.templates) {
+    groups.push_back(tc.members);
+  }
+  groups.push_back(result.noise);
+  return groups;
+}
+
+std::vector<PhraseHash> Sorted(std::vector<PhraseHash> phrases) {
+  std::sort(phrases.begin(), phrases.end());
+  return phrases;
+}
+
+TEST(IncrementalTest, ChangedTopPhraseSetReFinesAnUnchangedCluster) {
+  // A batch that repeats one base text adds no word, so lg V holds and
+  // the fine cache survives. N still grows, which reorders one old
+  // document's top phrases: its set changes while its coarse cluster
+  // keeps its member list, and the cluster's fine result changes with
+  // it (the claim scan pools a seed's phrase-sharing neighbours). The
+  // engine must re-fine that cluster rather than reuse its cached
+  // result, because only the member's changed set marks it dirty.
+  const std::vector<std::string> base = {
+      "w17 w14 w4 w12 w21 w9 w15 w25 w26",
+      "w17 w14 w27 w12 w21 w9 w15 w25 w26",
+      "w17 w12 w21 w9 w15 w25 w26",
+      "w17 w14 w27 w12 w21 w9 w15 w25 w26",
+      "w27 w29 w13 w29 w13 w16 w23 w9 w21 w12 w7 w20",
+      "w27 w6 w13 w29 w13 w16 w23 w9 w21 w12 w7 w20",
+      "w27 w6 w13 w29 w13 w16 w23 w9 w21 w12 w20",
+      "w6 w13 w29 w13 w16 w23 w9 w12 w7 w20",
+      "w27 w6 w13 w29 w13 w16 w23 w1 w21 w12 w7 w20",
+      "w31 w31 w6 w16 w19 w13 w16 w32 w3 w5 w20 w5",
+      "w31 w31 w6 w16 w19 w13 w16 w32 w3 w5 w23 w5",
+  };
+  std::vector<std::string> all = base;
+  all.push_back(base[7]);
+  InfoShieldOptions options;
+  options.coarse.tfidf.top_fraction = 0.2;
+
+  // The batch pipeline's view before and after the batch shows the
+  // premise: some cluster keeps its members, a member's set changes,
+  // and the cluster's fine result changes.
+  Corpus before_corpus;
+  before_corpus.AddBatch(base, 1);
+  Corpus after_corpus;
+  after_corpus.AddBatch(all, 1);
+  ASSERT_EQ(after_corpus.vocab().size(), before_corpus.vocab().size());
+  const CoarseClustering coarse(options.coarse);
+  const CoarseResult before = coarse.Run(before_corpus);
+  const CoarseResult after = coarse.Run(after_corpus);
+  const FineClustering fine(options.fine);
+  const CostModel cost_model = CostModel::ForVocabulary(after_corpus.vocab());
+  bool premise = false;
+  for (const std::vector<DocId>& members : after.clusters) {
+    if (std::find(before.clusters.begin(), before.clusters.end(), members) ==
+        before.clusters.end()) {
+      continue;
+    }
+    bool set_changed = false;
+    for (DocId d : members) {
+      set_changed |= Sorted(before.doc_top_phrases[d]) !=
+                     Sorted(after.doc_top_phrases[d]);
+    }
+    if (!set_changed) continue;
+    const FineResult was = fine.RunOnCluster(before_corpus, members,
+                                             cost_model,
+                                             &before.doc_top_phrases);
+    const FineResult now = fine.RunOnCluster(after_corpus, members,
+                                             cost_model,
+                                             &after.doc_top_phrases);
+    premise |= FineGroups(was) != FineGroups(now);
+  }
+  ASSERT_TRUE(premise);
+
+  IncrementalInfoShield engine(options);
+  ASSERT_TRUE(engine.IngestBatch(base).ok());
+  Result<IngestStats> stats = engine.IngestBatch({base[7]});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->vocab_grew);
+  EXPECT_GT(stats->changed_docs, stats->batch_docs);
+  EXPECT_GT(stats->reused_clusters, 0u);
+  EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
 }
 
 TEST(IncrementalTest, NewVocabularyClearsTheFineCache) {

@@ -38,7 +38,7 @@ and over the real tree, asserting:
    cleaned, live entries LRU-capped;
  * the real tree has zero unsuppressed findings, its lock-order
    graph names the mutexes of every current Mutex user (thread_pool,
-   logging, snapshot_df_table, audit), and its race report carries the
+   logging, audit), and its race report carries the
    schema tag, the pipeline's thread roots, and the annotated
    shared-state surface;
  * a failing run exits 1, not the violation count (a raw count would
@@ -95,7 +95,6 @@ SEEDED_RACES = ("Telemetry::dropped_", "Ledger::balance_",
 REQUIRED_GRAPH_NODES = (
     "ThreadPool::mutex_",
     "logging::g_severity_mu",
-    "SnapshotDfTable::mu_",
     "audit::g_stats_mu",
 )
 
@@ -408,7 +407,9 @@ def main():
                report.get("thread_roots"),
                "real tree: race report should carry the schema tag and "
                "the pipeline's thread roots")
-        expect(report["summary"].get("annotated", 0) >= 10,
+        # The floor is the tree's current count of GUARDED_BY fields:
+        # three in ThreadPool, two audit tallies, one logging severity.
+        expect(report["summary"].get("annotated", 0) >= 6,
                "real tree: expected the annotated shared-state surface "
                f"in the report, got {report['summary']}")
         with open(lifetime_path, encoding="utf-8") as f:

@@ -48,7 +48,7 @@
 #                           runners still execute under gcc sanitizers.
 #   tools/check.sh --incremental
 #                           the incremental ingestion gate only: an
-#                           ASan+UBSan run of the incremental/snapshot
+#                           ASan+UBSan run of the incremental/df-run
 #                           suites and the diff_incremental replay, then
 #                           bench_incremental's batch differential
 #                           oracle (exits non-zero on any divergence;
@@ -209,7 +209,7 @@ if [[ "$INCREMENTAL_ONLY" == "1" ]]; then
   step "incremental suites (ASan+UBSan, audited, -Werror)"
   configure_and_build build-asan "address,undefined"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'IncrementalTest|SnapshotDfTableTest|fuzz_replay_diff_incremental'
+    -R 'IncrementalTest|DfRunTest|fuzz_replay_diff_incremental'
   step "bench_incremental batch differential oracle"
   ./build-asan/bench/bench_incremental --out build-asan/BENCH_incremental.json
   step "incremental gate passed"
