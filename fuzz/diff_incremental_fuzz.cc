@@ -6,8 +6,14 @@
 // fuzz bytes into a synthetic corpus plus a random batch split of it,
 // drives the incremental engine batch by batch, and after every prefix
 // asserts byte equality against the batch oracle — so the fuzzer
-// explores the fast-path/rebuild dichotomy, cache reuse, vocabulary
-// growth, and degree-cap replays all at once.
+// explores fine-memo replay, vocabulary growth, and degree-cap replays
+// all at once.
+//
+// Option bit 32 appends a stream tail after the split: up to four more
+// batches decoded from the remaining bytes, each either a "new words"
+// batch (copies of earlier texts plus words no earlier batch used, so lg
+// V moves) or an "N only" batch (verbatim repeats of earlier texts, so
+// only N and df move). Inputs without that bit decode exactly as before.
 
 #include <cstdint>
 #include <string>
@@ -31,6 +37,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if ((option_bits & 4) != 0) options.coarse.max_phrase_degree = 4;
   if ((option_bits & 8) != 0) options.coarse.min_cluster_size = 3;
   if ((option_bits & 16) != 0) options.num_threads = 4;
+  const bool stream_tail = (option_bits & 32) != 0;
 
   const std::vector<std::string> texts =
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/12);
@@ -48,20 +55,36 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (ends.empty() || ends.back() != texts.size()) {
     ends.push_back(texts.size());
   }
+  std::vector<std::string> all = texts;
+  if (stream_tail) {
+    size_t novel = 0;
+    for (int b = 0; b < 4 && !in.empty(); ++b) {
+      const bool new_words = (in.TakeByte() & 1) != 0;
+      const size_t copies = 1 + in.TakeBounded(2);
+      const size_t known = all.size();
+      for (size_t c = 0; c < copies; ++c) {
+        std::string text = all[in.TakeBounded(known - 1)];
+        // "n<k>" never occurs in the synthetic vocabulary (w*, z*).
+        if (new_words) text += " n" + std::to_string(novel++);
+        all.push_back(std::move(text));
+      }
+      ends.push_back(all.size());
+    }
+  }
 
   infoshield::IncrementalInfoShield engine(options);
   size_t begin = 0;
   for (size_t end : ends) {
     const infoshield::Result<infoshield::IngestStats> stats =
-        engine.IngestBatch(std::vector<std::string>(texts.begin() + begin,
-                                                    texts.begin() + end));
+        engine.IngestBatch(std::vector<std::string>(all.begin() + begin,
+                                                    all.begin() + end));
     CHECK(stats.ok()) << stats.status();
     const std::string incremental =
         infoshield::ResultToJson(engine.result(), engine.corpus());
 
     infoshield::Corpus oracle_corpus;
     oracle_corpus.AddBatch(
-        std::vector<std::string>(texts.begin(), texts.begin() + end),
+        std::vector<std::string>(all.begin(), all.begin() + end),
         options.num_threads);
     infoshield::InfoShield oracle(options);
     const std::string batch =
@@ -69,7 +92,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
     CHECK(incremental == batch)
         << "incremental engine diverged from the batch oracle after "
-        << end << " of " << texts.size() << " docs (batch boundary at "
+        << end << " of " << all.size() << " docs (batch boundary at "
         << begin << ", option bits " << static_cast<int>(option_bits)
         << ")";
     begin = end;

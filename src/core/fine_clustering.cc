@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/fine_memo.h"
 #include "core/slot_analysis.h"
 #include "mdl/universal_code.h"
 #include "util/audit.h"
@@ -23,6 +24,7 @@ void FineStageStats::MergeFrom(const FineStageStats& other) {
   alignments_computed += other.alignments_computed;
   consensus_probes += other.consensus_probes;
   consensus_cache_hits += other.consensus_cache_hits;
+  msa_sequences_added += other.msa_sequences_added;
   slot_candidates_evaluated += other.slot_candidates_evaluated;
 }
 
@@ -80,72 +82,14 @@ double FineClustering::CandidateDataCost(
   return cost;
 }
 
-FineClustering::ConsensusChoice FineClustering::EvaluateCandidate(
-    const std::vector<TokenId>& consensus,
-    const std::vector<std::vector<TokenId>>& docs,
-    const CostModel& cost_model, FineStageStats* stats) const {
-  ConsensusChoice choice;
-  choice.consensus = consensus;
-  choice.tmpl = Template(consensus);
-  choice.alignments.reserve(docs.size());
-  AlignmentWorkspace workspace;
-  for (const auto& doc : docs) {
-    choice.alignments.push_back(NeedlemanWunsch(choice.tmpl.tokens, doc,
-                                                options_.scoring, &workspace));
-  }
-  if (stats != nullptr) stats->alignments_computed += docs.size();
-  std::vector<double> base_costs;
-  DetectSlotsIncremental(choice.tmpl, choice.alignments, cost_model, stats,
-                         &base_costs);
-  // Same accumulation order as CandidateDataCost: template cost first,
-  // then per-document bases — floating-point addition is not
-  // associative, and the naive path must match bit for bit.
-  choice.cost =
-      cost_model.TemplateCost(choice.tmpl.length(), choice.tmpl.num_slots());
-  for (double base : base_costs) choice.cost += base;
-  return choice;
-}
-
-FineClustering::ConsensusChoice FineClustering::SearchConsensus(
-    const MsaAligner& alignment,
-    const std::vector<std::vector<TokenId>>& candidate_docs,
-    const CostModel& cost_model, FineStageStats* stats) const {
-  const size_t n = candidate_docs.size();
-  CHECK_GE(n, 1u);
-  const int64_t h_max = static_cast<int64_t>(n) - 1;
-  const bool naive = options_.use_naive_costing;
-
-  // Distinct thresholds frequently select the same sub-alignment
-  // (supports are integers in [0, n); near-duplicate candidate sets
-  // concentrate them at the extremes), so probe results are cached at
-  // two levels: per threshold, and per distinct consensus sequence. A
-  // consensus-level hit reuses every member alignment and the detected
-  // slots. The map is ordered to keep the code free of hash-order
-  // pitfalls; it is lookup-only either way.
-  std::map<std::vector<TokenId>, ConsensusChoice> by_consensus;
+std::pair<int64_t, double> FineClustering::ArgminThreshold(
+    int64_t h_max, const std::function<double(int64_t)>& eval) const {
   std::unordered_map<int64_t, double> cache;
-  auto eval = [&](int64_t h) -> double {
+  auto cost_at = [&](int64_t h) -> double {
     h = std::clamp<int64_t>(h, 0, h_max);
     auto it = cache.find(h);
     if (it != cache.end()) return it->second;
-    std::vector<TokenId> consensus =
-        alignment.ConsensusAtThreshold(static_cast<size_t>(h));
-    if (stats != nullptr) ++stats->consensus_probes;
-    double cost;
-    if (naive) {
-      cost = CandidateDataCost(consensus, candidate_docs, cost_model, stats);
-    } else {
-      auto found = by_consensus.find(consensus);
-      if (found != by_consensus.end()) {
-        if (stats != nullptr) ++stats->consensus_cache_hits;
-        cost = found->second.cost;
-      } else {
-        ConsensusChoice evaluated =
-            EvaluateCandidate(consensus, candidate_docs, cost_model, stats);
-        cost = evaluated.cost;
-        by_consensus.emplace(std::move(consensus), std::move(evaluated));
-      }
-    }
+    const double cost = eval(h);
     cache.emplace(h, cost);
     return cost;
   };
@@ -154,7 +98,7 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
   double best_cost = std::numeric_limits<double>::infinity();
   auto consider = [&](int64_t h) {
     h = std::clamp<int64_t>(h, 0, h_max);
-    double c = eval(h);
+    double c = cost_at(h);
     if (c < best_cost || (c == best_cost && h < best_h)) {
       best_cost = c;
       best_h = h;
@@ -169,8 +113,8 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
     int64_t hi = h_max;
     while (lo < hi) {
       int64_t mid = (lo + hi) / 2;
-      double left = eval(mid - 1);
-      double right = eval(mid + 1);
+      double left = cost_at(mid - 1);
+      double right = cost_at(mid + 1);
       consider(mid - 1);
       consider(mid);
       consider(mid + 1);
@@ -182,28 +126,180 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
     }
     consider(lo);
   }
+  return {best_h, best_cost};
+}
 
-  std::vector<TokenId> winner =
-      alignment.ConsensusAtThreshold(static_cast<size_t>(best_h));
-  if (!naive) {
-    auto found = by_consensus.find(winner);
-    CHECK(found != by_consensus.end());
-    return std::move(found->second);
+FineClustering::ConsensusChoice FineClustering::SearchConsensus(
+    const MsaAligner& alignment,
+    const std::vector<std::vector<TokenId>>& candidate_docs,
+    const CostModel& cost_model, FineStageStats* stats) const {
+  auto consensus_at = [&alignment](size_t h) {
+    return alignment.ConsensusAtThreshold(h);
+  };
+  if (options_.use_naive_costing) {
+    return SearchConsensusNaive(consensus_at, candidate_docs, cost_model,
+                                stats);
   }
-  // Naive escape hatch: rebuild the winner's template the way the
-  // pre-optimization code did — re-align every member and run full
-  // slot detection once more.
+  return SearchConsensusFrom(consensus_at, candidate_docs, cost_model, stats,
+                             nullptr, nullptr);
+}
+
+// analyzer: hot
+FineClustering::ConsensusChoice FineClustering::SearchConsensusFrom(
+    const std::function<std::vector<TokenId>(size_t)>& consensus_at,
+    const std::vector<std::vector<TokenId>>& docs, const CostModel& cm,
+    FineStageStats* stats, const FineMemoSet* memo,
+    FineMemoSet* delta) const {
+  const size_t n = docs.size();
+  CHECK_GE(n, 1u);
+  if (delta != nullptr) delta->consensus_at.assign(n, FineMemoSet::kNone);
+  // Consensus indices in the memo entry as this search extends it: the
+  // entry's own, then the ones `delta` appends.
+  const int32_t memo_size =
+      memo == nullptr ? 0 : static_cast<int32_t>(memo->consensuses.size());
+
+  // Distinct thresholds frequently select the same sub-alignment
+  // (supports are integers in [0, n); near-duplicate candidate sets
+  // concentrate them at the extremes), so each distinct consensus is
+  // evaluated once: its member alignments, profiles and slots are
+  // shared by every threshold that selects it. The map is ordered to
+  // keep the code free of hash-order pitfalls; it is lookup-only.
+  struct Evaluated {
+    int32_t index = FineMemoSet::kNone;  // in the memo entry, when kept
+    Template tmpl;
+    // Member alignments, when this search computed them (a memoized
+    // consensus brings only its profiles).
+    std::vector<Alignment> alignments;
+    double cost = 0.0;
+  };
+  std::map<std::vector<TokenId>, Evaluated> by_consensus;
+  std::unordered_map<int64_t, const std::vector<TokenId>*> at_threshold;
+  AlignmentWorkspace workspace;
+
+  auto eval = [&](int64_t h) -> double {
+    if (stats != nullptr) ++stats->consensus_probes;
+    const int32_t known =
+        memo == nullptr ? FineMemoSet::kNone : memo->consensus_at[h];
+    std::vector<TokenId> consensus =
+        known != FineMemoSet::kNone ? memo->consensuses[known]
+                                    : consensus_at(static_cast<size_t>(h));
+    auto found = by_consensus.find(consensus);
+    if (found != by_consensus.end()) {
+      if (stats != nullptr) ++stats->consensus_cache_hits;
+    } else {
+      Evaluated evaluated;
+      evaluated.tmpl = Template(consensus);
+      // The profiles: memoized, or from alignments computed here.
+      int32_t index = known;
+      if (index == FineMemoSet::kNone && memo != nullptr) {
+        for (int32_t i = 0; i < memo_size; ++i) {
+          if (memo->consensuses[i] == consensus) {
+            index = i;
+            break;
+          }
+        }
+      }
+      std::vector<GapCostProfile> own_profiles;
+      if (index == FineMemoSet::kNone) {
+        evaluated.alignments.reserve(n);
+        own_profiles.reserve(n);
+        for (const auto& doc : docs) {
+          evaluated.alignments.push_back(NeedlemanWunsch(
+              evaluated.tmpl.tokens, doc, options_.scoring, &workspace));
+          own_profiles.push_back(
+              BuildGapCostProfile(evaluated.alignments.back()));
+        }
+        if (stats != nullptr) stats->alignments_computed += n;
+      }
+      const std::vector<GapCostProfile>& profiles =
+          index == FineMemoSet::kNone ? own_profiles : memo->profiles[index];
+      std::vector<double> base_costs;
+      DetectSlotsIncremental(evaluated.tmpl, profiles, cm, stats,
+                             &base_costs);
+      // Same accumulation order as CandidateDataCost: template cost
+      // first, then per-document bases — floating-point addition is not
+      // associative, and the naive path must match bit for bit.
+      evaluated.cost = cm.TemplateCost(evaluated.tmpl.length(),
+                                       evaluated.tmpl.num_slots());
+      for (double base : base_costs) evaluated.cost += base;
+      if (index == FineMemoSet::kNone && delta != nullptr) {
+        index = memo_size + static_cast<int32_t>(delta->consensuses.size());
+        delta->consensuses.push_back(consensus);
+        delta->profiles.push_back(std::move(own_profiles));
+      }
+      evaluated.index = index;
+      found = by_consensus.emplace(std::move(consensus), std::move(evaluated))
+                  .first;
+    }
+    if (delta != nullptr && known == FineMemoSet::kNone) {
+      delta->consensus_at[h] = found->second.index;
+    }
+    at_threshold.emplace(h, &found->first);
+    return found->second.cost;
+  };
+  const int64_t best_h =
+      ArgminThreshold(static_cast<int64_t>(n) - 1, eval).first;
+
+  const std::vector<TokenId>& winner = *at_threshold.at(best_h);
+  Evaluated& evaluated = by_consensus.at(winner);
   ConsensusChoice choice;
-  choice.consensus = std::move(winner);
+  choice.consensus = winner;
+  choice.tmpl = std::move(evaluated.tmpl);
+  choice.cost = evaluated.cost;
+  const bool kept = memo != nullptr && memo->winner != FineMemoSet::kNone &&
+                    memo->winner == evaluated.index;
+  if (!evaluated.alignments.empty()) {
+    choice.alignments = std::move(evaluated.alignments);
+  } else if (kept) {
+    choice.alignments.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      choice.alignments.push_back(
+          ReplayAlignment(memo->winner_ops[i], winner, docs[i]));
+    }
+  } else {
+    choice.alignments.reserve(n);
+    for (const auto& doc : docs) {
+      choice.alignments.push_back(
+          NeedlemanWunsch(winner, doc, options_.scoring, &workspace));
+    }
+    if (stats != nullptr) stats->alignments_computed += n;
+  }
+  if (delta != nullptr && !kept) {
+    delta->winner = evaluated.index;
+    delta->winner_ops.reserve(n);
+    for (const Alignment& a : choice.alignments) {
+      delta->winner_ops.push_back(AlignmentOpTypes(a));
+    }
+  }
+  return choice;
+}
+
+FineClustering::ConsensusChoice FineClustering::SearchConsensusNaive(
+    const std::function<std::vector<TokenId>(size_t)>& consensus_at,
+    const std::vector<std::vector<TokenId>>& docs, const CostModel& cm,
+    FineStageStats* stats) const {
+  const size_t n = docs.size();
+  CHECK_GE(n, 1u);
+  auto eval = [&](int64_t h) -> double {
+    if (stats != nullptr) ++stats->consensus_probes;
+    return CandidateDataCost(consensus_at(static_cast<size_t>(h)), docs, cm,
+                             stats);
+  };
+  const auto [best_h, best_cost] =
+      ArgminThreshold(static_cast<int64_t>(n) - 1, eval);
+  // Rebuild the winner's template the way the pre-optimization code
+  // did — re-align every member and run full slot detection once more.
+  ConsensusChoice choice;
+  choice.consensus = consensus_at(static_cast<size_t>(best_h));
   choice.cost = best_cost;
   choice.tmpl = Template(choice.consensus);
-  choice.alignments.reserve(candidate_docs.size());
-  for (const auto& doc : candidate_docs) {
+  choice.alignments.reserve(n);
+  for (const auto& doc : docs) {
     choice.alignments.push_back(
         NeedlemanWunsch(choice.tmpl.tokens, doc, options_.scoring));
   }
-  if (stats != nullptr) stats->alignments_computed += candidate_docs.size();
-  DetectSlotsNaive(choice.tmpl, choice.alignments, cost_model, stats);
+  if (stats != nullptr) stats->alignments_computed += n;
+  DetectSlotsNaive(choice.tmpl, choice.alignments, cm, stats);
   return choice;
 }
 
@@ -216,6 +312,20 @@ std::vector<TokenId> FineClustering::ConsensusSearch(
 }
 
 namespace {
+
+bool ByPairDoc(const FineMemoPair& a, const FineMemoPair& b) {
+  return a.doc < b.doc;
+}
+
+// The memoized counts for `doc` in a seed's pairs (nullable), or nullptr.
+const FineMemoPair* FindPair(const std::vector<FineMemoPair>* pairs,
+                             DocId doc) {
+  if (pairs == nullptr) return nullptr;
+  auto it = std::lower_bound(
+      pairs->begin(), pairs->end(), doc,
+      [](const FineMemoPair& p, DocId d) { return p.doc < d; });
+  return it != pairs->end() && it->doc == doc ? &*it : nullptr;
+}
 
 // Candidate gaps: positions that accumulate inserted or substituted
 // words across the candidate alignments (Algorithm 3's dictionary P),
@@ -243,6 +353,21 @@ std::vector<size_t> CandidateGaps(const std::vector<Alignment>& alignments) {
   return candidates;
 }
 
+// The same gaps read off the alignments' profiles: a profile lists
+// exactly the gaps its alignment inserted or substituted at.
+std::vector<size_t> CandidateGaps(const std::vector<GapCostProfile>& profiles) {
+  std::vector<size_t> candidates;
+  for (const GapCostProfile& p : profiles) {
+    for (const GapCostProfile::GapEdits& e : p.edits) {
+      candidates.push_back(e.gap);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  return candidates;
+}
+
 }  // namespace
 
 void FineClustering::DetectSlots(Template& tmpl,
@@ -250,9 +375,14 @@ void FineClustering::DetectSlots(Template& tmpl,
                                  const CostModel& cost_model) const {
   if (options_.use_naive_costing) {
     DetectSlotsNaive(tmpl, alignments, cost_model, nullptr);
-  } else {
-    DetectSlotsIncremental(tmpl, alignments, cost_model, nullptr, nullptr);
+    return;
   }
+  std::vector<GapCostProfile> profiles;
+  profiles.reserve(alignments.size());
+  for (const Alignment& a : alignments) {
+    profiles.push_back(BuildGapCostProfile(a));
+  }
+  DetectSlotsIncremental(tmpl, profiles, cost_model, nullptr, nullptr);
 }
 
 void FineClustering::DetectSlotsNaive(Template& tmpl,
@@ -286,19 +416,15 @@ void FineClustering::DetectSlotsNaive(Template& tmpl,
 }
 
 void FineClustering::DetectSlotsIncremental(
-    Template& tmpl, const std::vector<Alignment>& alignments,
+    Template& tmpl, const std::vector<GapCostProfile>& profiles,
     const CostModel& cost_model, FineStageStats* stats,
     std::vector<double>* final_base_costs) const {
-  // One O(length) walk per alignment captures everything the cost of any
-  // slot mask depends on; every probe below is pure integer bookkeeping
-  // plus one AlignmentCostBase call per document (see slot_analysis.h
-  // and DESIGN.md §10 for the algebra and its exactness argument).
-  std::vector<GapCostProfile> profiles;
-  profiles.reserve(alignments.size());
-  for (const Alignment& a : alignments) {
-    profiles.push_back(BuildGapCostProfile(a));
-  }
-  const std::vector<size_t> candidates = CandidateGaps(alignments);
+  // One O(length) walk per alignment (its profile) captures everything
+  // the cost of any slot mask depends on; every probe below is pure
+  // integer bookkeeping plus one AlignmentCostBase call per document
+  // (see slot_analysis.h and DESIGN.md §10 for the algebra and its
+  // exactness argument).
+  const std::vector<size_t> candidates = CandidateGaps(profiles);
   if (stats != nullptr) stats->slot_candidates_evaluated += candidates.size();
 
   std::vector<size_t> enabled = tmpl.SlotGaps();
@@ -338,7 +464,8 @@ void FineClustering::DetectSlotsIncremental(
 FineClustering::Claims FineClustering::Claim(
     const Corpus& corpus, const std::vector<DocId>& doc_ids,
     const CostModel& cm,
-    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+    const FineMemo* memo) const {
   Claims claims;
   const size_t num_docs = doc_ids.size();
   // Documents are identified by their position within the cluster, so
@@ -374,6 +501,7 @@ FineClustering::Claims FineClustering::Claim(
   pool.reserve(num_docs);
   members.reserve(num_docs);
   claims.sets.reserve(num_docs);
+  if (memo != nullptr) claims.seed_pairs.reserve(num_docs);
   for (size_t cursor = 0; cursor < num_docs; ++cursor) {
     if (claimed[cursor]) continue;
     const DocId seed = doc_ids[cursor];
@@ -410,20 +538,49 @@ FineClustering::Claims FineClustering::Claim(
     // A pool document joins when its encoding under the slot-free seed
     // template is cheaper than leaving it unencoded. The summary is the
     // one EncodeDocument(Template(seed_tokens), ...) would count, read
-    // off the alignment without materializing the annotated columns.
+    // off the alignment without materializing the annotated columns, or
+    // its counts from the memo.
+    const std::vector<FineMemoPair>* known =
+        memo == nullptr ? nullptr : memo->FindSeed(seed);
+    std::vector<FineMemoPair>* record = nullptr;
+    if (memo != nullptr) {
+      record = &claims.seed_pairs.emplace_back(seed,
+                                               std::vector<FineMemoPair>())
+                    .second;
+      record->reserve(pool.size());
+    }
     members.clear();
     members.push_back(static_cast<uint32_t>(cursor));
     for (uint32_t i : pool) {
-      const std::vector<TokenId>& tokens = corpus.doc(doc_ids[i]).tokens;
-      const Alignment alignment =
-          NeedlemanWunsch(seed_tokens, tokens, AlignmentScoring{}, &workspace);
-      const EncodingSummary summary =
-          SummaryForSlotMask(BuildGapCostProfile(alignment), no_slots);
-      if (cm.EncodedDocCost(1, summary) < cm.UnencodedDocCost(tokens.size())) {
+      const DocId doc = doc_ids[i];
+      const std::vector<TokenId>& tokens = corpus.doc(doc).tokens;
+      FineMemoPair counts;
+      if (const FineMemoPair* hit = FindPair(known, doc); hit != nullptr) {
+        counts = *hit;
+      } else {
+        const Alignment alignment = NeedlemanWunsch(
+            seed_tokens, tokens, AlignmentScoring{}, &workspace);
+        const EncodingSummary summary =
+            SummaryForSlotMask(BuildGapCostProfile(alignment), no_slots);
+        counts.doc = doc;
+        counts.alignment_length =
+            static_cast<uint32_t>(summary.alignment_length);
+        counts.unmatched = static_cast<uint32_t>(summary.unmatched);
+        counts.inserted_or_substituted =
+            static_cast<uint32_t>(summary.inserted_or_substituted);
+        ++claims.stats.alignments_computed;
+      }
+      if (record != nullptr) record->push_back(counts);
+      if (cm.EncodedDocCost(1, counts.Summary()) <
+          cm.UnencodedDocCost(tokens.size())) {
         members.push_back(i);
       }
     }
-    claims.stats.alignments_computed += pool.size();
+    // The pool is in DocId order whenever the cluster's is.
+    if (record != nullptr &&
+        !std::is_sorted(record->begin(), record->end(), ByPairDoc)) {
+      std::sort(record->begin(), record->end(), ByPairDoc);
+    }
 
     CandidateSet& set = claims.sets.emplace_back();
     set.members.reserve(members.size());
@@ -436,31 +593,48 @@ FineClustering::Claims FineClustering::Claim(
   return claims;
 }
 
+std::unique_ptr<MsaAligner> FineClustering::BuildMsa(
+    const std::vector<std::vector<TokenId>>& docs,
+    FineStageStats* stats) const {
+  std::unique_ptr<MsaAligner> graph;
+  switch (options_.msa_backend) {
+    case MsaBackend::kPoa:
+      graph = std::make_unique<PoaGraph>(docs[0], options_.scoring);
+      break;
+    case MsaBackend::kProfile:
+      graph = std::make_unique<ProfileMsa>(docs[0], options_.scoring);
+      break;
+  }
+  for (size_t i = 1; i < docs.size(); ++i) graph->AddSequence(docs[i]);
+  stats->msa_sequences_added += docs.size();
+  return graph;
+}
+
 FineClustering::GroupFit FineClustering::Fit(const Corpus& corpus,
                                              const CandidateSet& set,
-                                             const CostModel& cm) const {
+                                             const CostModel& cm,
+                                             const FineMemoSet* memo,
+                                             FineMemoSet* delta) const {
   GroupFit fit;
   std::vector<std::vector<TokenId>> member_docs;
   member_docs.reserve(set.members.size());
   for (DocId d : set.members) member_docs.push_back(corpus.doc(d).tokens);
+  // The MSA graph is built on the first threshold the memo cannot
+  // answer; a fully memoized search never builds it.
   std::unique_ptr<MsaAligner> graph;
-  switch (options_.msa_backend) {
-    case MsaBackend::kPoa:
-      graph = std::make_unique<PoaGraph>(member_docs[0], options_.scoring);
-      break;
-    case MsaBackend::kProfile:
-      graph = std::make_unique<ProfileMsa>(member_docs[0], options_.scoring);
-      break;
-  }
-  for (size_t i = 1; i < member_docs.size(); ++i) {
-    graph->AddSequence(member_docs[i]);
-  }
+  auto consensus_at = [&](size_t h) {
+    if (graph == nullptr) graph = BuildMsa(member_docs, &fit.stats);
+    return graph->ConsensusAtThreshold(h);
+  };
 
   // --- Consensus Search (Algorithm 2) + Slot Detection (Algorithm 3) ---
   // The winning probe already aligned every member and detected slots;
-  // SearchConsensus hands all of it back, so nothing is recomputed.
+  // the search hands all of it back, so nothing is recomputed.
   ConsensusChoice choice =
-      SearchConsensus(*graph, member_docs, cm, &fit.stats);
+      options_.use_naive_costing
+          ? SearchConsensusNaive(consensus_at, member_docs, cm, &fit.stats)
+          : SearchConsensusFrom(consensus_at, member_docs, cm, &fit.stats,
+                                memo, delta);
   if (choice.consensus.empty()) return fit;
   fit.tmpl = std::move(choice.tmpl);
   fit.encodings.reserve(choice.alignments.size());
@@ -554,7 +728,8 @@ FineResult FineClustering::RunOnCluster(
     const CostModel& cm,
     const std::vector<std::vector<PhraseHash>>* doc_top_phrases) const {
   return std::move(
-      RunOnClusters(corpus, {&doc_ids}, cm, doc_top_phrases, 1).front());
+      RunOnClusters(corpus, {&doc_ids}, cm, doc_top_phrases, 1, nullptr)
+          .front());
 }
 
 std::vector<FineResult> FineClustering::RunOnClusters(
@@ -562,11 +737,15 @@ std::vector<FineResult> FineClustering::RunOnClusters(
     const std::vector<const std::vector<DocId>*>& clusters,
     const CostModel& cm,
     const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
-    size_t num_threads) const {
+    size_t num_threads, FineMemo* memo) const {
+  // The naive escape hatch re-aligns by design.
+  if (options_.use_naive_costing) memo = nullptr;
+  // Workers only read the memo; Retain below rewrites it serially.
+  const FineMemo* known = memo;
   const size_t num_clusters = clusters.size();
   std::vector<Claims> claims(num_clusters);
   ThreadPool::ParallelFor(num_threads, num_clusters, [&](size_t ci) {
-    claims[ci] = Claim(corpus, *clusters[ci], cm, doc_top_phrases);
+    claims[ci] = Claim(corpus, *clusters[ci], cm, doc_top_phrases, known);
   });
 
   // One task per (cluster, set) that needs a fit, largest set first: fit
@@ -588,10 +767,33 @@ std::vector<FineResult> FineClustering::RunOnClusters(
                    [&](const auto& a, const auto& b) {
                      return set_size(a) > set_size(b);
                    });
+  // Task t writes only fits[ci][si] and deltas[t].
+  std::vector<FineMemoSet> deltas(known == nullptr ? 0 : tasks.size());
   ThreadPool::ParallelFor(num_threads, tasks.size(), [&](size_t t) {
     const auto [ci, si] = tasks[t];
-    fits[ci][si] = Fit(corpus, claims[ci].sets[si], cm);
+    const CandidateSet& set = claims[ci].sets[si];
+    fits[ci][si] =
+        known == nullptr
+            ? Fit(corpus, set, cm, nullptr, nullptr)
+            : Fit(corpus, set, cm, known->FindSet(set.members), &deltas[t]);
   });
+
+  if (memo != nullptr) {
+    std::vector<std::pair<DocId, std::vector<FineMemoPair>>> seeds;
+    size_t num_seeds = 0;
+    for (const Claims& c : claims) num_seeds += c.seed_pairs.size();
+    seeds.reserve(num_seeds);
+    for (Claims& c : claims) {
+      for (auto& entry : c.seed_pairs) seeds.push_back(std::move(entry));
+    }
+    std::vector<std::pair<const std::vector<DocId>*, FineMemoSet>> sets;
+    sets.reserve(tasks.size());
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      const auto [ci, si] = tasks[t];
+      sets.emplace_back(&claims[ci].sets[si].members, std::move(deltas[t]));
+    }
+    memo->Retain(std::move(seeds), std::move(sets));
+  }
 
   // Decide is a few additions per set, and the largest cluster's replay
   // dominates it, so it runs on the calling thread.

@@ -21,6 +21,10 @@
 #ifndef INFOSHIELD_CORE_FINE_CLUSTERING_H_
 #define INFOSHIELD_CORE_FINE_CLUSTERING_H_
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/template.h"
@@ -35,6 +39,13 @@
 #include "util/status.h"
 
 namespace infoshield {
+
+// Declared in core/fine_memo.h and core/slot_analysis.h, which include
+// this header.
+class FineMemo;
+struct FineMemoPair;
+struct FineMemoSet;
+struct GapCostProfile;
 
 // Which MSA implementation builds the candidate alignment (§IV-B: the
 // fine stage co-works with any MSA; POA is the paper's choice).
@@ -67,8 +78,13 @@ struct FineOptions {
 // different counter values.
 struct FineStageStats {
   // Full Needleman-Wunsch alignments computed (pool scans + consensus
-  // evaluations + any naive-path re-alignment).
+  // evaluations + any naive-path re-alignment). Memo hits (FineMemo)
+  // compute none.
   size_t alignments_computed = 0;
+  // Sequences fed into an MSA graph (POA or profile), seeds included: a
+  // candidate set's graph adds every member, and with a memo it is built
+  // only when a probed threshold is not memoized.
+  size_t msa_sequences_added = 0;
   // Consensus-search cost evaluations requested (distinct thresholds).
   size_t consensus_probes = 0;
   // Probes whose consensus was already evaluated under another
@@ -137,12 +153,20 @@ class FineClustering {
   // on the calling thread.
   // Result i is byte-identical to RunOnCluster(*clusters[i]) for any
   // thread count.
+  //
+  // memo (optional, core/fine_memo.h) supplies alignment work earlier
+  // runs over the same corpus did, and is left holding exactly what this
+  // run read or wrote. Results are bit-identical with or without it;
+  // only the alignment and MSA counters in FineResult::stats drop. The
+  // memo is read-only while the workers run; each task records its new
+  // entries in its own slot, merged on the calling thread afterwards.
+  // use_naive_costing ignores it.
   std::vector<FineResult> RunOnClusters(
       const Corpus& corpus,
       const std::vector<const std::vector<DocId>*>& clusters,
       const CostModel& cost_model,
       const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
-      size_t num_threads) const;
+      size_t num_threads, FineMemo* memo) const;
 
   const FineOptions& options() const { return options_; }
 
@@ -204,6 +228,8 @@ class FineClustering {
   struct Claims {
     std::vector<CandidateSet> sets;  // seed order
     FineStageStats stats;            // the seed-vs-pool probes
+    // With a memo: every seed's pool counts, ascending by doc.
+    std::vector<std::pair<DocId, std::vector<FineMemoPair>>> seed_pairs;
   };
   // Everything Decide needs from one fitted set; the alignment graph and
   // the member alignments are dropped inside Fit.
@@ -214,49 +240,70 @@ class FineClustering {
     FineStageStats stats;
   };
 
+  // `memo` (nullable) supplies known pair counts; when set, Claims
+  // records every pair it probed.
   Claims Claim(const Corpus& corpus, const std::vector<DocId>& doc_ids,
                const CostModel& cost_model,
-               const std::vector<std::vector<PhraseHash>>* doc_top_phrases)
-      const;
+               const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+               const FineMemo* memo) const;
   bool NeedsFit(const CandidateSet& set) const {
     return set.members.size() >= options_.min_template_support;
   }
+  // `memo` (nullable) is the set's memo entry; `delta` (nullable)
+  // receives what this fit adds to it.
   GroupFit Fit(const Corpus& corpus, const CandidateSet& set,
-               const CostModel& cost_model) const;
+               const CostModel& cost_model, const FineMemoSet* memo,
+               FineMemoSet* delta) const;
   // fits[i] is read only for the sets that NeedsFit.
   FineResult Decide(const Corpus& corpus, const std::vector<DocId>& doc_ids,
                     const CostModel& cost_model, Claims claims,
                     std::vector<GroupFit> fits) const;
 
+  // The members fused into one MSA graph of the configured backend.
+  std::unique_ptr<MsaAligner> BuildMsa(
+      const std::vector<std::vector<TokenId>>& docs,
+      FineStageStats* stats) const;
+
+  // Algorithm 2's threshold search over eval(h) (dichotomous, or every
+  // threshold when exhaustive), evaluating each h at most once. Returns
+  // the argmin (smallest h on ties) and its cost.
+  std::pair<int64_t, double> ArgminThreshold(
+      int64_t h_max, const std::function<double(int64_t)>& eval) const;
+
+  // SearchConsensus over any source of Sel(A, h); Fit passes one that
+  // builds the MSA graph on first use. `memo`/`delta` as in Fit.
+  ConsensusChoice SearchConsensusFrom(
+      const std::function<std::vector<TokenId>(size_t)>& consensus_at,
+      const std::vector<std::vector<TokenId>>& candidate_docs,
+      const CostModel& cost_model, FineStageStats* stats,
+      const FineMemoSet* memo, FineMemoSet* delta) const;
+  ConsensusChoice SearchConsensusNaive(
+      const std::function<std::vector<TokenId>(size_t)>& consensus_at,
+      const std::vector<std::vector<TokenId>>& candidate_docs,
+      const CostModel& cost_model, FineStageStats* stats) const;
+
   // Cost of a candidate consensus as it would actually be adopted:
   // template model cost plus the documents' encoding cost after slot
   // detection (the lg t term is omitted — constant during the search).
-  // The naive probe path; the default path goes through
-  // EvaluateCandidate so alignments are computed once per distinct
-  // consensus and slot probes are incremental.
+  // The naive probe path; the default path aligns once per distinct
+  // consensus and probes slots incrementally.
   double CandidateDataCost(const std::vector<TokenId>& consensus,
                            const std::vector<std::vector<TokenId>>& docs,
                            const CostModel& cost_model,
                            FineStageStats* stats) const;
 
-  // Aligns every candidate document against `consensus`, detects slots
-  // incrementally, and returns the populated ConsensusChoice.
-  ConsensusChoice EvaluateCandidate(
-      const std::vector<TokenId>& consensus,
-      const std::vector<std::vector<TokenId>>& docs,
-      const CostModel& cost_model, FineStageStats* stats) const;
-
   // Algorithm 3 via full re-encoding per probe (escape hatch) and via
-  // the GapCostProfile delta algebra (default). Both mutate `tmpl`
-  // identically. The incremental variant can also report each
-  // document's final base encoding cost (bit-identical to
-  // EncodeDocumentWithAlignment(tmpl, ...).base_cost) for free.
+  // the GapCostProfile delta algebra over the alignments' profiles
+  // (default). Both mutate `tmpl` identically. The incremental variant
+  // can also report each document's final base encoding cost
+  // (bit-identical to EncodeDocumentWithAlignment(tmpl, ...).base_cost)
+  // for free.
   void DetectSlotsNaive(Template& tmpl,
                         const std::vector<Alignment>& alignments,
                         const CostModel& cost_model,
                         FineStageStats* stats) const;
   void DetectSlotsIncremental(Template& tmpl,
-                              const std::vector<Alignment>& alignments,
+                              const std::vector<GapCostProfile>& profiles,
                               const CostModel& cost_model,
                               FineStageStats* stats,
                               std::vector<double>* final_base_costs) const;

@@ -85,7 +85,7 @@ InfoShieldResult InfoShield::Run(const Corpus& corpus) const {
       FineClustering(options_.fine)
           .RunOnClusters(corpus, clusters, cost_model,
                          &coarse_result.doc_top_phrases,
-                         options_.num_threads);
+                         options_.num_threads, /*memo=*/nullptr);
   AssembleResult(coarse_result, &fine_results, cost_model, corpus.size(),
                  &result);
   result.fine_seconds = timer.ElapsedSeconds();

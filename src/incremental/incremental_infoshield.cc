@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/fine_memo.h"
 #include "graph/bucket_run.h"
 #include "mdl/cost_model.h"
 #include "text/ngram.h"
@@ -34,6 +35,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
 
   const size_t threads = ThreadPool::ResolveNumThreads(options_.num_threads);
   const size_t old_size = corpus_.size();
+  const double old_lg_vocab = corpus_.vocab().BitsPerWord();
 
   Result<DocId> first_id = corpus_.TryAddBatch(texts, threads);
   INFOSHIELD_RETURN_IF_ERROR(first_id.status());
@@ -49,8 +51,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   AddDfRun(CountDocumentFrequencies(corpus_, old_size, new_size,
                                     options_.coarse.tfidf.max_ngram, threads),
            &df_run_);
-  const uint64_t generation = ++generation_;
-  stats.generation = generation;
+  stats.generation = ++generation_;
   stats.df_seconds = timer.ElapsedSeconds();
 
   // --- rescore every document's top phrases against the new counts.
@@ -70,14 +71,14 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   }
   stats.rescore_seconds = timer.ElapsedSeconds();
 
-  // --- diff against the previous generation's top phrases. A document
-  // counts as changed when its top-phrase SET changed: the graph is built
-  // from a (key, doc)-sorted run and the fine stage sorts what it reads
-  // of a document's phrases, so rank order reaches no output.
+  // --- diff against the previous generation's top phrases, for
+  // IngestStats only: nothing below depends on it. A document counts as
+  // changed when its top-phrase SET changed: the graph is built from a
+  // (key, doc)-sorted run and the fine stage sorts what it reads of a
+  // document's phrases, so rank order reaches no output.
   timer.Restart();
   std::vector<PhraseHash> old_set;
   std::vector<PhraseHash> new_set;
-  doc_changed_gen_.resize(new_size, generation);
   stats.changed_docs = new_size - old_size;
   for (size_t d = 0; d < old_size; ++d) {
     if (new_top[d] == doc_top_phrases_[d]) continue;
@@ -85,9 +86,7 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
     new_set.assign(new_top[d].begin(), new_top[d].end());
     std::sort(old_set.begin(), old_set.end());
     std::sort(new_set.begin(), new_set.end());
-    if (old_set == new_set) continue;
-    doc_changed_gen_[d] = generation;
-    ++stats.changed_docs;
+    if (old_set != new_set) ++stats.changed_docs;
   }
   doc_top_phrases_ = std::move(new_top);
 
@@ -100,67 +99,35 @@ Result<IngestStats> IncrementalInfoShield::IngestBatch(
   stats.num_coarse_clusters = components.clusters.size();
   stats.graph_seconds = timer.ElapsedSeconds();
 
-  // --- fine stage over dirty components only.
+  // --- fine stage over every component, at the current lg V. The memo
+  // supplies the alignment work of every (seed, document) pair and
+  // candidate set an earlier ingest already saw, so a component whose
+  // claims and sets are unchanged costs only its MDL arithmetic, replayed
+  // at the new lg V — exact by construction, whatever the vocabulary
+  // did (DESIGN.md §15).
   timer.Restart();
   const CostModel cost_model = CostModel::ForVocabulary(corpus_.vocab());
-  if (cost_model.lg_vocab() != last_lg_vocab_) {
-    // lg V enters every MDL cost comparison, so a vocabulary-size step
-    // can flip accept/reject decisions in ANY cluster: drop everything.
-    stats.vocab_grew = !fine_cache_.empty();
-    fine_cache_.clear();
-    last_lg_vocab_ = cost_model.lg_vocab();
-  }
-
+  stats.vocab_grew = old_size > 0 && cost_model.lg_vocab() != old_lg_vocab;
   const size_t num_clusters = components.clusters.size();
-  std::vector<FineResult> fine_results(num_clusters);
-  std::vector<uint64_t> result_generation(num_clusters, generation);
-  std::vector<size_t> dirty;
-  dirty.reserve(num_clusters);
+  std::vector<const std::vector<DocId>*> clusters;
+  clusters.reserve(num_clusters);
+  for (const std::vector<DocId>& c : components.clusters) {
+    clusters.push_back(&c);
+  }
+  std::vector<FineResult> fine_results =
+      FineClustering(options_.fine)
+          .RunOnClusters(corpus_, clusters, cost_model, &doc_top_phrases_,
+                         options_.num_threads, &fine_memo_);
   for (size_t ci = 0; ci < num_clusters; ++ci) {
-    const std::vector<DocId>& members = components.clusters[ci];
-    auto it = fine_cache_.find(members.front());
-    bool reusable = it != fine_cache_.end() && it->second.members == members;
-    if (reusable) {
-      for (DocId d : members) {
-        if (doc_changed_gen_[d] > it->second.generation) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    if (reusable) {
-      fine_results[ci] = it->second.result;
-      result_generation[ci] = it->second.generation;
+    const FineStageStats& fs = fine_results[ci].stats;
+    const size_t work = fs.alignments_computed + fs.msa_sequences_added;
+    stats.fine_alignments += work;
+    if (work == 0) {
       ++stats.reused_clusters;
     } else {
-      dirty.push_back(ci);
       ++stats.dirty_clusters;
-      stats.dirty_cluster_docs += members.size();
+      stats.dirty_cluster_docs += components.clusters[ci].size();
     }
-  }
-  std::vector<const std::vector<DocId>*> dirty_clusters;
-  dirty_clusters.reserve(dirty.size());
-  for (size_t ci : dirty) dirty_clusters.push_back(&components.clusters[ci]);
-  std::vector<FineResult> dirty_results =
-      FineClustering(options_.fine)
-          .RunOnClusters(corpus_, dirty_clusters, cost_model,
-                         &doc_top_phrases_, options_.num_threads);
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    fine_results[dirty[i]] = std::move(dirty_results[i]);
-  }
-
-  // Refresh the cache: every current cluster is stored with the
-  // generation its result was computed at (carried over for reused
-  // entries so the dirtiness predicate keeps working); vanished
-  // clusters drop out.
-  fine_cache_.clear();
-  fine_cache_.reserve(num_clusters);
-  for (size_t ci = 0; ci < num_clusters; ++ci) {
-    CachedFine entry;
-    entry.members = components.clusters[ci];
-    entry.result = fine_results[ci];
-    entry.generation = result_generation[ci];
-    fine_cache_.emplace(entry.members.front(), std::move(entry));
   }
 
   // --- assemble through the batch pipeline's own merge.
@@ -179,39 +146,8 @@ Status IncrementalInfoShield::ValidateInvariants() const {
   a.Expect(doc_top_phrases_.size() == n,
            StrFormat("doc_top_phrases has %zu entries for %zu documents",
                      doc_top_phrases_.size(), n));
-  a.Expect(doc_changed_gen_.size() == n,
-           StrFormat("doc_changed_gen has %zu entries for %zu documents",
-                     doc_changed_gen_.size(), n));
-  const uint64_t generation = generation_;
-  for (size_t d = 0; d < doc_changed_gen_.size(); ++d) {
-    if (doc_changed_gen_[d] > generation) {
-      a.Expect(false,
-               StrFormat("document %zu changed at generation %llu, beyond "
-                         "the engine's %llu",
-                         d,
-                         static_cast<unsigned long long>(doc_changed_gen_[d]),
-                         static_cast<unsigned long long>(generation)));
-    }
-  }
-  // determinism: validation only; each entry is checked independently.
-  for (const auto& [key, entry] : fine_cache_) {
-    a.Expect(!entry.members.empty() && entry.members.front() == key,
-             StrFormat("cache entry %u does not start with its key", key));
-    for (DocId d : entry.members) {
-      if (d >= n) {
-        a.Expect(false,
-                 StrFormat("cache entry %u holds out-of-corpus member %u",
-                           key, d));
-      }
-    }
-    a.Expect(entry.generation <= generation,
-             StrFormat("cache entry %u computed at generation %llu, beyond "
-                       "the engine's %llu",
-                       key,
-                       static_cast<unsigned long long>(entry.generation),
-                       static_cast<unsigned long long>(generation)));
-  }
   INFOSHIELD_RETURN_IF_ERROR(a.Finish());
+  INFOSHIELD_RETURN_IF_ERROR(fine_memo_.ValidateInvariants(n));
   return ValidateInfoShieldResult(result_, corpus_);
 }
 

@@ -25,21 +25,23 @@
 //                 drops the same edges. The sort is O(edges log edges)
 //                 and cheap next to one fine cluster; repairing only
 //                 the components a batch touches is future work.
-//   fine stage  — the expensive part (MDL + alignment) is skipped for
-//                 every CLEAN component: identical member list, no
-//                 member's top-phrase set changed since the cached result,
-//                 and an unchanged lg V (a vocabulary-size step shifts
-//                 every cost comparison, so it clears the whole cache).
-//                 A cluster's FineClustering::RunOnClusters result
-//                 depends on nothing but its members' tokens, their
-//                 top-phrase sets (the fine stage sorts what it reads,
-//                 so rank order never reaches it), and the cost model,
-//                 so the cached FineResult is exact. Results are
-//                 assembled by the batch pipeline's AssembleResult.
+//   fine stage  — every component runs through the batch stage's
+//                 FineClustering::RunOnClusters at the current lg V,
+//                 with the engine's FineMemo (core/fine_memo.h). Every
+//                 MDL cost carries lg V, which moves with nearly every
+//                 batch, but the expensive part under those costs —
+//                 alignments, POA graphs, gap-cost profiles — depends
+//                 only on token sequences. The memo keeps those per
+//                 (seed, document) pair and per candidate-set member
+//                 list; the run reads them back and replays only the
+//                 cost arithmetic, so each FineResult is bit-identical
+//                 to a fresh run and no lg V step invalidates anything.
+//                 Results are assembled by the batch pipeline's
+//                 AssembleResult.
 //
-// Per-batch cost therefore scales with the size of the components the
-// batch touches, not with the corpus (the acceptance criterion
-// bench_incremental measures).
+// Per-batch alignment work therefore scales with the claims and
+// candidate sets the batch changes, not with the corpus
+// (bench_incremental reports it as IngestStats::fine_alignments).
 
 #ifndef INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_
 #define INFOSHIELD_INCREMENTAL_INCREMENTAL_INFOSHIELD_H_
@@ -47,11 +49,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
+#include "core/fine_memo.h"
 #include "core/infoshield.h"
 #include "text/corpus.h"
 #include "text/ngram.h"
@@ -76,17 +78,23 @@ struct IngestStats {
   // run each time. Local repair of only the touched components is what
   // would make it false again.
   bool graph_rebuilt = false;
-  // True when vocabulary growth moved lg V and invalidated every cached
-  // fine result.
+  // True when the batch brought new words into a non-empty corpus, so
+  // lg V moved and every fine-stage cost was replayed at the new value.
   bool vocab_grew = false;
-  // Coarse components after this ingest, split into fine re-runs and
-  // cache hits (dirty + reused == total clusters).
+  // Coarse components after this ingest (dirty + reused == total).
   size_t num_coarse_clusters = 0;
+  // A reused cluster was served from the fine memo alone: zero pairwise
+  // alignments and zero MSA (POA) work, only the MDL arithmetic at the
+  // current lg V. A dirty cluster computed at least one alignment.
   size_t dirty_clusters = 0;
   size_t reused_clusters = 0;
   // Documents inside the dirty clusters — the "touched-component size"
   // that per-batch cost is supposed to track.
   size_t dirty_cluster_docs = 0;
+  // Alignments the fine stage actually computed this ingest: pairwise
+  // (FineStageStats::alignments_computed) plus sequences added to MSA
+  // graphs (msa_sequences_added), summed over clusters.
+  size_t fine_alignments = 0;
   // Generation after this ingest: the number of non-empty batches.
   uint64_t generation = 0;
   // Wall-clock breakdown in seconds.
@@ -109,7 +117,8 @@ class IncrementalInfoShield {
   IncrementalInfoShield& operator=(const IncrementalInfoShield&) = delete;
 
   // Appends `texts` to the corpus and brings result() up to date, paying
-  // the fine-stage cost only for components the batch touched. Returns
+  // alignment work only where the batch changed a claim or a candidate
+  // set. Returns
   // ResourceExhausted (corpus unchanged) when the batch would overflow
   // the DocId space. An empty batch is a no-op returning zeroed stats.
   Result<IngestStats> IngestBatch(const std::vector<std::string>& texts);
@@ -122,28 +131,19 @@ class IncrementalInfoShield {
   uint64_t generation() const { return generation_; }
 
   // Deep invariant audit (util/audit.h): the df run's keys ascend with
-  // every count in [1, N], per-document state arrays line up,
-  // every cached fine entry's members exist, and the assembled result
+  // every count in [1, N], the top-phrase table covers every document,
+  // the fine memo validates against the corpus, and the assembled result
   // validates against the corpus. Returns OK or an Internal status
   // listing every violation.
   Status ValidateInvariants() const;
 
  private:
-  // One cached fine-stage output. `generation` is the generation the
-  // result was computed at; the entry is reusable while every member's
-  // doc_changed_gen_ stays <= it (and lg V holds still).
-  struct CachedFine {
-    std::vector<DocId> members;
-    FineResult result;
-    uint64_t generation = 0;
-  };
-
   InfoShieldOptions options_;
   Corpus corpus_;
   // Every phrase's document frequency over the whole corpus (min_df 1:
   // a df-1 phrase can reach min_df in a later batch).
   DfRun df_run_;
-  // +1 per non-empty batch; stamps doc_changed_gen_ and the cache.
+  // +1 per non-empty batch.
   uint64_t generation_ = 0;
 
   // Per-document state, indexed by DocId.
@@ -151,13 +151,9 @@ class IncrementalInfoShield {
   // (RunOnClusters takes const*, the flagged write is that &-arg);
   // mutation happens serially between ingest phases
   std::vector<std::vector<PhraseHash>> doc_top_phrases_;
-  std::vector<uint64_t> doc_changed_gen_;
 
-  // Fine-result cache keyed by a cluster's smallest member (clusters
-  // partition the documents, so within one generation the key is
-  // unique; the stored member list disambiguates across generations).
-  std::unordered_map<DocId, CachedFine> fine_cache_;
-  double last_lg_vocab_ = 0.0;
+  // The fine stage's lg V-independent work from the last ingest.
+  FineMemo fine_memo_;
 
   InfoShieldResult result_;
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "coarse/coarse_clustering.h"
+#include "core/fine_memo.h"
 #include "datagen/trafficking_gen.h"
 #include "util/random.h"
 
@@ -554,11 +555,12 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
+// Everything a FineResult reports except the alignment and MSA counters,
+// the only fields a FineMemo changes.
+void ExpectSameFineOutput(const FineResult& want, const FineResult& got) {
   EXPECT_EQ(Bits(want.cost_before), Bits(got.cost_before));
   EXPECT_EQ(Bits(want.cost_after), Bits(got.cost_after));
   EXPECT_EQ(want.noise, got.noise);
-  EXPECT_EQ(want.stats.alignments_computed, got.stats.alignments_computed);
   EXPECT_EQ(want.stats.consensus_probes, got.stats.consensus_probes);
   EXPECT_EQ(want.stats.consensus_cache_hits, got.stats.consensus_cache_hits);
   EXPECT_EQ(want.stats.slot_candidates_evaluated,
@@ -592,6 +594,11 @@ void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
   }
 }
 
+void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
+  ExpectSameFineOutput(want, got);
+  EXPECT_EQ(want.stats.alignments_computed, got.stats.alignments_computed);
+}
+
 // Runs the reference loop per cluster, then RunOnClusters over all of
 // them at 1/2/3/4/8 threads and RunOnCluster per cluster, comparing each
 // against the reference.
@@ -616,7 +623,7 @@ void ExpectMatchesReference(
   }
   for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     const std::vector<FineResult> got = fine.RunOnClusters(
-        corpus, cluster_ptrs, cm, doc_top_phrases, threads);
+        corpus, cluster_ptrs, cm, doc_top_phrases, threads, nullptr);
     ASSERT_EQ(got.size(), want.size());
     for (size_t ci = 0; ci < clusters.size(); ++ci) {
       SCOPED_TRACE("threads " + std::to_string(threads) + ", cluster " +
@@ -698,7 +705,8 @@ TEST(FineClusteringReferenceTest, EmptyAndOneDocumentClustersMatch) {
   ExpectMatchesReference(FineOptions{}, c, clusters, nullptr);
   const CostModel cm = CostModel::ForVocabulary(c.vocab());
   EXPECT_TRUE(FineClustering()
-                  .RunOnClusters(c, {}, cm, nullptr, /*num_threads=*/4)
+                  .RunOnClusters(c, {}, cm, nullptr, /*num_threads=*/4,
+                                 nullptr)
                   .empty());
 }
 
@@ -738,10 +746,11 @@ TEST(FineClusteringTest, TopPhraseOrderDoesNotReachResult) {
     }
     for (size_t threads : {1u, 4u}) {
       const FineClustering fine;
-      const std::vector<FineResult> want = fine.RunOnClusters(
-          g.data.corpus, clusters, cm, &coarse->doc_top_phrases, threads);
+      const std::vector<FineResult> want =
+          fine.RunOnClusters(g.data.corpus, clusters, cm,
+                             &coarse->doc_top_phrases, threads, nullptr);
       const std::vector<FineResult> got = fine.RunOnClusters(
-          g.data.corpus, clusters, cm, &shuffled, threads);
+          g.data.corpus, clusters, cm, &shuffled, threads, nullptr);
       ASSERT_EQ(got.size(), want.size());
       for (size_t ci = 0; ci < want.size(); ++ci) {
         SCOPED_TRACE("threads " + std::to_string(threads) + ", cluster " +
@@ -770,6 +779,254 @@ TEST(FineClusteringTest, DetectSlotsPublicApi) {
   fine.DetectSlots(tmpl, alignments, cm);
   EXPECT_TRUE(tmpl.HasSlotAtGap(2));
   EXPECT_EQ(tmpl.num_slots(), 1u);
+}
+
+// --- FineMemo: the lg V-independent work kept across runs ---
+//
+// Every cost the fine stage compares carries lg V; the alignments, MSA
+// consensuses and gap-cost profiles underneath do not. A run with a
+// memo filled at one lg V must reproduce, bit for bit, a memo-less run
+// at any other lg V, including where that lg V step flips a claim, a
+// slot or an MDL decision.
+
+std::vector<const std::vector<DocId>*> Pointers(
+    const std::vector<std::vector<DocId>>& clusters) {
+  std::vector<const std::vector<DocId>*> ptrs;
+  for (const std::vector<DocId>& c : clusters) ptrs.push_back(&c);
+  return ptrs;
+}
+
+std::vector<FineResult> RunAt(
+    const FineClustering& fine, const Corpus& corpus,
+    const std::vector<std::vector<DocId>>& clusters, double lg_vocab,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
+    size_t threads, FineMemo* memo) {
+  return fine.RunOnClusters(corpus, Pointers(clusters), CostModel(lg_vocab),
+                            doc_top_phrases, threads, memo);
+}
+
+bool Overlaps(const std::vector<DocId>& a, const std::vector<DocId>& b) {
+  for (DocId d : a) {
+    if (std::find(b.begin(), b.end(), d) != b.end()) return true;
+  }
+  return false;
+}
+
+// A claim changed: a template of `x` shares documents with a template of
+// `y` but has a different member list.
+bool ClaimFlipped(const std::vector<FineResult>& x,
+                  const std::vector<FineResult>& y) {
+  for (size_t ci = 0; ci < x.size(); ++ci) {
+    for (const TemplateCluster& a : x[ci].templates) {
+      for (const TemplateCluster& b : y[ci].templates) {
+        if (a.members != b.members && Overlaps(a.members, b.members)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// A slot decision changed: the same member list is a template in both,
+// with a different number of slots.
+bool SlotFlipped(const std::vector<FineResult>& x,
+                 const std::vector<FineResult>& y) {
+  for (size_t ci = 0; ci < x.size(); ++ci) {
+    for (const TemplateCluster& a : x[ci].templates) {
+      for (const TemplateCluster& b : y[ci].templates) {
+        if (a.members == b.members &&
+            a.tmpl.num_slots() != b.tmpl.num_slots()) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// An MDL decision changed: a template of `x` is all noise in `y`.
+bool DecisionFlipped(const std::vector<FineResult>& x,
+                     const std::vector<FineResult>& y) {
+  for (size_t ci = 0; ci < x.size(); ++ci) {
+    for (const TemplateCluster& a : x[ci].templates) {
+      bool all_noise = true;
+      for (DocId d : a.members) {
+        all_noise &= std::binary_search(y[ci].noise.begin(),
+                                        y[ci].noise.end(), d);
+      }
+      if (all_noise) return true;
+    }
+  }
+  return false;
+}
+
+size_t AlignmentWork(const std::vector<FineResult>& results) {
+  size_t work = 0;
+  for (const FineResult& r : results) {
+    work += r.stats.alignments_computed + r.stats.msa_sequences_added;
+  }
+  return work;
+}
+
+// Fills a memo at lg V `a`, then replays it at each of `bs` in turn; at
+// every lg V, at 1 and 4 threads, each result must be bit-identical to
+// a memo-less run.
+void ExpectMemoReplaysExactly(
+    const FineOptions& options, const Corpus& corpus,
+    const std::vector<std::vector<DocId>>& clusters,
+    const std::vector<std::vector<PhraseHash>>* doc_top_phrases, double a,
+    const std::vector<double>& bs) {
+  const FineClustering fine(options);
+  for (size_t threads : {1u, 4u}) {
+    FineMemo memo;
+    std::vector<double> lgs = {a};
+    lgs.insert(lgs.end(), bs.begin(), bs.end());
+    for (double lg : lgs) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", lg V " +
+                   std::to_string(lg));
+      const std::vector<FineResult> want =
+          RunAt(fine, corpus, clusters, lg, doc_top_phrases, threads, nullptr);
+      const std::vector<FineResult> got =
+          RunAt(fine, corpus, clusters, lg, doc_top_phrases, threads, &memo);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t ci = 0; ci < want.size(); ++ci) {
+        SCOPED_TRACE("cluster " + std::to_string(ci));
+        ExpectSameFineOutput(want[ci], got[ci]);
+      }
+      EXPECT_TRUE(memo.ValidateInvariants(corpus.size()).ok());
+    }
+  }
+}
+
+// The giant-component corpus's lg V is 10.6. At 12 its candidate sets
+// differ from those at 20, one of its templates keeps its members but
+// not its slots at 14, and two of its templates are rejected at 11.
+constexpr double kFlipLgA = 12.0;
+
+TEST(FineMemoTest, LgVStepFlipsClaimSlotAndDecisionWithoutMemo) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  const FineClustering fine;
+  auto run = [&](double lg) {
+    return RunAt(fine, g.data.corpus, g.coarse.clusters, lg,
+                 &g.coarse.doc_top_phrases, 1, nullptr);
+  };
+  const std::vector<FineResult> at_a = run(kFlipLgA);
+  EXPECT_TRUE(ClaimFlipped(at_a, run(20.0)));
+  EXPECT_TRUE(SlotFlipped(at_a, run(14.0)));
+  EXPECT_TRUE(DecisionFlipped(at_a, run(11.0)));
+  // And at one lg V none of the three differ.
+  EXPECT_FALSE(ClaimFlipped(at_a, run(kFlipLgA)));
+  EXPECT_FALSE(SlotFlipped(at_a, run(kFlipLgA)));
+  EXPECT_FALSE(DecisionFlipped(at_a, run(kFlipLgA)));
+}
+
+TEST(FineMemoTest, ReplayAcrossLgVMatchesMemolessRuns) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  const std::vector<double> bs = {11.0, 14.0, 20.0, 5.0, kFlipLgA};
+  ExpectMemoReplaysExactly(FineOptions{}, g.data.corpus, g.coarse.clusters,
+                           &g.coarse.doc_top_phrases, kFlipLgA, bs);
+  // The default coarse stage on the same trafficking corpus.
+  const CoarseResult trafficking = CoarseClustering().Run(g.data.corpus);
+  ASSERT_GT(trafficking.clusters.size(), 1u);
+  ExpectMemoReplaysExactly(FineOptions{}, g.data.corpus, trafficking.clusters,
+                           &trafficking.doc_top_phrases, kFlipLgA, bs);
+}
+
+TEST(FineMemoTest, ReplayMatchesAcrossOptionsAndScanModes) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  const std::vector<double> bs = {11.0, 20.0};
+  FineOptions exhaustive;
+  exhaustive.exhaustive_consensus_search = true;
+  FineOptions profile;
+  profile.msa_backend = MsaBackend::kProfile;
+  FineOptions support3;
+  support3.min_template_support = 3;
+  for (const FineOptions& options : {exhaustive, profile, support3}) {
+    ExpectMemoReplaysExactly(options, g.data.corpus, g.coarse.clusters,
+                             &g.coarse.doc_top_phrases, kFlipLgA, bs);
+  }
+  // Full scans, and clusters listed in descending DocId order (the
+  // claim pools then do not ascend, and the memo sorts its pair lists).
+  ExpectMemoReplaysExactly(FineOptions{}, g.data.corpus, g.coarse.clusters,
+                           nullptr, kFlipLgA, bs);
+  std::vector<std::vector<DocId>> reversed = g.coarse.clusters;
+  for (std::vector<DocId>& c : reversed) std::reverse(c.begin(), c.end());
+  ExpectMemoReplaysExactly(FineOptions{}, g.data.corpus, reversed,
+                           &g.coarse.doc_top_phrases, kFlipLgA, bs);
+}
+
+TEST(FineMemoTest, FullHitComputesNoAlignment) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  const FineClustering fine;
+  for (size_t threads : {1u, 4u}) {
+    FineMemo memo;
+    const std::vector<FineResult> first =
+        RunAt(fine, g.data.corpus, g.coarse.clusters, kFlipLgA,
+              &g.coarse.doc_top_phrases, threads, &memo);
+    EXPECT_GT(AlignmentWork(first), 0u);
+    EXPECT_GT(memo.num_sets(), 0u);
+    EXPECT_GT(memo.num_pairs(), 0u);
+    const std::vector<FineResult> again =
+        RunAt(fine, g.data.corpus, g.coarse.clusters, kFlipLgA,
+              &g.coarse.doc_top_phrases, threads, &memo);
+    EXPECT_EQ(AlignmentWork(again), 0u);
+    ASSERT_EQ(again.size(), first.size());
+    for (size_t ci = 0; ci < first.size(); ++ci) {
+      ExpectSameFineOutput(first[ci], again[ci]);
+    }
+  }
+}
+
+TEST(FineMemoTest, KeepsOnlyWhatTheLastRunUsed) {
+  GiantComponentCorpus g = MakeGiantComponentCorpus();
+  ASSERT_GE(g.coarse.clusters.size(), 2u);
+  const FineClustering fine;
+  const std::vector<std::vector<DocId>> first = {g.coarse.clusters[0]};
+  const std::vector<std::vector<DocId>> second = {g.coarse.clusters[1]};
+  FineMemo memo;
+  RunAt(fine, g.data.corpus, g.coarse.clusters, kFlipLgA,
+        &g.coarse.doc_top_phrases, 1, &memo);
+  const size_t all_sets = memo.num_sets();
+  RunAt(fine, g.data.corpus, first, kFlipLgA, &g.coarse.doc_top_phrases, 1,
+        &memo);
+  EXPECT_LT(memo.num_sets(), all_sets);
+  EXPECT_LE(memo.num_seeds(), first[0].size());
+  // The first cluster is still a full hit; the second was evicted.
+  EXPECT_EQ(AlignmentWork(RunAt(fine, g.data.corpus, first, kFlipLgA,
+                                &g.coarse.doc_top_phrases, 1, &memo)),
+            0u);
+  EXPECT_GT(AlignmentWork(RunAt(fine, g.data.corpus, second, kFlipLgA,
+                                &g.coarse.doc_top_phrases, 1, &memo)),
+            0u);
+}
+
+TEST(FineMemoTest, NaiveCostingIgnoresTheMemo) {
+  std::vector<DocId> ids;
+  Corpus c = MixedCluster(&ids);
+  FineOptions naive;
+  naive.use_naive_costing = true;
+  const FineClustering fine(naive);
+  FineMemo memo;
+  const std::vector<std::vector<DocId>> clusters = {ids};
+  const std::vector<FineResult> with =
+      RunAt(fine, c, clusters, 11.0, nullptr, 1, &memo);
+  EXPECT_TRUE(memo.empty());
+  ExpectSameFineResult(RunAt(fine, c, clusters, 11.0, nullptr, 1, nullptr)[0],
+                       with[0]);
+}
+
+TEST(FineMemoTest, ReplayedAlignmentEqualsNeedlemanWunsch) {
+  std::vector<DocId> ids;
+  Corpus c = MixedCluster(&ids);
+  for (DocId a : ids) {
+    for (DocId b : ids) {
+      const Alignment nw = NeedlemanWunsch(c.doc(a).tokens, c.doc(b).tokens);
+      const Alignment replayed = ReplayAlignment(
+          AlignmentOpTypes(nw), c.doc(a).tokens, c.doc(b).tokens);
+      EXPECT_EQ(replayed.ops, nw.ops);
+    }
+  }
 }
 
 }  // namespace

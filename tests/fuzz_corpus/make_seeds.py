@@ -226,5 +226,16 @@ write("diff_incremental", "threaded_with_degree_cap",
       synthetic(0x14, two_families, noise) + u64(1) + u64(1) + u64(1))
 write("diff_incremental", "unigram_vocab_growth",
       synthetic(0x03, two_families, noise) + u64(2) + u64(0) + u64(4))
+# Option bit 0x20 adds a stream tail after the split: per batch a kind
+# byte (bit 0: append a never-seen word to each copy, else repeat texts
+# verbatim), TakeBounded(2) extra copies, then one TakeBounded(docs - 1)
+# source index per copy. Here: two cuts, then new words, N only, new
+# words again.
+write("diff_incremental", "stream_tail_new_words_and_repeats",
+      synthetic(0x20, two_families, noise) + u64(4) + u64(3)
+      + byte(1) + bounded(1, 2) + bounded(0, 6) + bounded(5, 6)
+      + byte(0) + bounded(2, 2) + bounded(1, 8) + bounded(2, 8)
+      + bounded(8, 8)
+      + byte(1) + bounded(0, 2) + bounded(3, 11))
 
 print("seed corpora regenerated under", ROOT)

@@ -167,9 +167,9 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   // Two families of exact duplicates with disjoint wording. Batch 2
   // adds more copies of family A only: family B's docs keep their df
   // pattern (same df for every B phrase, so idf growth rescales all B
-  // scores by one positive factor and the top-phrase ORDER holds), its
-  // component membership is unchanged, and no new words arrive — so
-  // family B's fine result must come from the cache.
+  // scores by one positive factor and the top-phrase ORDER holds), and
+  // its component membership is unchanged — so family B is served from
+  // the fine memo without a single alignment.
   const std::string a = "sweet asian girls new in town call five five five";
   const std::string b = "grand opening best massage downtown walk ins welcome";
   std::vector<std::string> first_batch;
@@ -187,7 +187,7 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
   ASSERT_TRUE(s2.ok());
   EXPECT_FALSE(s2->vocab_grew);
   ASSERT_EQ(s2->num_coarse_clusters, 2u);
-  EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be a cache hit";
+  EXPECT_EQ(s2->reused_clusters, 1u) << "family B should be a memo hit";
   EXPECT_EQ(s2->dirty_clusters, 1u);
   EXPECT_EQ(s2->dirty_cluster_docs, 8u);  // family A now has 8 members
 
@@ -199,9 +199,9 @@ TEST(IncrementalTest, UntouchedComponentsReuseCachedFineResults) {
 
 TEST(IncrementalTest, RepeatedTextsKeepTheCacheAndMatchOracle) {
   // Batches that only repeat already-ingested texts add no vocabulary,
-  // so lg V holds still and the fine cache survives. N and df still
-  // move, so old documents' top-phrase sets change, and a cached
-  // cluster holding such a document must be re-fined.
+  // so lg V holds still. N and df still move, so old documents'
+  // top-phrase sets change, and a cluster holding such a document may
+  // claim differently; clusters whose claims hold are memo hits.
   const std::vector<std::string> base = GeneratedTexts(/*seed=*/8);
   InfoShieldOptions options;
   IncrementalInfoShield engine(options);
@@ -245,13 +245,13 @@ std::vector<PhraseHash> Sorted(std::vector<PhraseHash> phrases) {
 }
 
 TEST(IncrementalTest, ChangedTopPhraseSetReFinesAnUnchangedCluster) {
-  // A batch that repeats one base text adds no word, so lg V holds and
-  // the fine cache survives. N still grows, which reorders one old
-  // document's top phrases: its set changes while its coarse cluster
-  // keeps its member list, and the cluster's fine result changes with
-  // it (the claim scan pools a seed's phrase-sharing neighbours). The
-  // engine must re-fine that cluster rather than reuse its cached
-  // result, because only the member's changed set marks it dirty.
+  // A batch that repeats one base text adds no word, so lg V holds. N
+  // still grows, which reorders one old document's top phrases: its set
+  // changes while its coarse cluster keeps its member list, and the
+  // cluster's fine result changes with it (the claim scan pools a
+  // seed's phrase-sharing neighbours). A reuse rule keyed on the member
+  // list alone would return the stale result; the memo keys claims by
+  // (seed, document) pair and fits by candidate set, so it cannot.
   const std::vector<std::string> base = {
       "w17 w14 w4 w12 w21 w9 w15 w25 w26",
       "w17 w14 w27 w12 w21 w9 w15 w25 w26",
@@ -315,24 +315,93 @@ TEST(IncrementalTest, ChangedTopPhraseSetReFinesAnUnchangedCluster) {
   EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
 }
 
-TEST(IncrementalTest, NewVocabularyClearsTheFineCache) {
+TEST(IncrementalTest, NewVocabularyReplaysCleanClusters) {
   const std::string a = "sweet asian girls new in town call five five five";
   const std::string b = "grand opening best massage downtown walk ins welcome";
   std::vector<std::string> first_batch = {a, a, a, b, b, b};
   InfoShieldOptions options;
   IncrementalInfoShield engine(options);
-  ASSERT_TRUE(engine.IngestBatch(first_batch).ok());
+  Result<IngestStats> first = engine.IngestBatch(first_batch);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first->fine_alignments, 0u);
 
-  // Batch with a brand-new word: lg V moves, every cached cost
-  // comparison is stale, everything re-fines.
+  // A batch with brand-new words moves lg V, and with it every cost the
+  // fine stage compares. The two families' claims and candidate sets
+  // are unchanged, so their alignment work comes from the memo and only
+  // the MDL arithmetic is replayed at the new lg V.
   Result<IngestStats> stats =
       engine.IngestBatch({"totally novel wording zzyzx"});
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->vocab_grew);
-  EXPECT_EQ(stats->reused_clusters, 0u);
+  EXPECT_GT(stats->reused_clusters, 0u);
+  EXPECT_EQ(stats->reused_clusters, stats->num_coarse_clusters);
+  EXPECT_EQ(stats->fine_alignments, 0u);
 
   std::vector<std::string> all = first_batch;
   all.push_back("totally novel wording zzyzx");
+  EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
+}
+
+TEST(IncrementalTest, VocabularyStepChangesAnUntouchedCluster) {
+  // Two exact duplicates are worth a template only when lg V is large
+  // enough to pay for it. The base corpus has a small vocabulary, so the
+  // pair is claimed but rejected; a batch of one document in brand-new
+  // words grows V, and the pair becomes a template. The batch shares no
+  // word with the base, so no base document's df, top-phrase set or
+  // coarse cluster moves: only lg V does. An engine that reused the
+  // cluster's pre-step result would report the pair as noise.
+  const std::string pair = "fresh girls in town tonight call now";
+  const std::vector<std::string> base = {
+      pair, pair, "cheap rooms near the station", "late night pizza delivery",
+  };
+  std::string novel;
+  for (int i = 0; i < 60; ++i) {
+    if (!novel.empty()) novel.push_back(' ');
+    novel += "novel" + std::to_string(i);
+  }
+  std::vector<std::string> all = base;
+  all.push_back(novel);
+  InfoShieldOptions options;
+
+  // The premise, through the batch stages: a cluster keeps its members
+  // and every member's top-phrase set, and its fine result changes.
+  Corpus before_corpus;
+  before_corpus.AddBatch(base, 1);
+  Corpus after_corpus;
+  after_corpus.AddBatch(all, 1);
+  ASSERT_GT(after_corpus.vocab().size(), before_corpus.vocab().size());
+  const CoarseClustering coarse(options.coarse);
+  const CoarseResult before = coarse.Run(before_corpus);
+  const CoarseResult after = coarse.Run(after_corpus);
+  const FineClustering fine(options.fine);
+  bool premise = false;
+  for (const std::vector<DocId>& members : after.clusters) {
+    if (std::find(before.clusters.begin(), before.clusters.end(), members) ==
+        before.clusters.end()) {
+      continue;
+    }
+    bool set_changed = false;
+    for (DocId d : members) {
+      set_changed |= Sorted(before.doc_top_phrases[d]) !=
+                     Sorted(after.doc_top_phrases[d]);
+    }
+    if (set_changed) continue;
+    const FineResult was = fine.RunOnCluster(
+        before_corpus, members, CostModel::ForVocabulary(before_corpus.vocab()),
+        &before.doc_top_phrases);
+    const FineResult now = fine.RunOnCluster(
+        after_corpus, members, CostModel::ForVocabulary(after_corpus.vocab()),
+        &after.doc_top_phrases);
+    premise |= was.templates.empty() && !now.templates.empty();
+  }
+  ASSERT_TRUE(premise);
+
+  IncrementalInfoShield engine(options);
+  ASSERT_TRUE(engine.IngestBatch(base).ok());
+  Result<IngestStats> stats = engine.IngestBatch({novel});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->vocab_grew);
+  EXPECT_EQ(stats->changed_docs, stats->batch_docs);
   EXPECT_EQ(IncrementalJson(engine), BatchJson(all, all.size(), options));
 }
 
