@@ -2,12 +2,14 @@
 //
 // Runs the full pipeline twice on a skewed synthetic corpus — one
 // dominant coarse cluster, the shape that makes the fine stage the
-// bottleneck — once with the default (cached + incremental) costing and
-// once with FineOptions::use_naive_costing. The two runs MUST render to
-// byte-identical JSON (the optimization contract); any disagreement
-// exits non-zero so CI fails. Emits BENCH_fine.json with both runs'
-// stage seconds and hot-path counters plus the speedup, giving the
-// repo a tracked trajectory for this path.
+// bottleneck — once through InfoShield::Run (cached + incremental
+// costing) and once through the naive reference in
+// tests/fine_reference.h (the same coarse stage, then a sequential loop
+// that re-aligns per probe and re-encodes per slot candidate). The two
+// runs MUST render to byte-identical JSON (the optimization contract);
+// any disagreement exits non-zero so CI fails. Emits BENCH_fine.json
+// with both runs' stage seconds and hot-path counters plus the speedup,
+// giving the repo a tracked trajectory for this path.
 //
 // Usage: bench_fine [--out BENCH_fine.json] [--help]
 
@@ -18,6 +20,7 @@
 #include "bench_util.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
+#include "fine_reference.h"
 #include "io/json_writer.h"
 #include "util/flags.h"
 
@@ -49,10 +52,10 @@ struct RunOutcome {
 };
 
 RunOutcome RunOnce(const Corpus& corpus, bool naive) {
-  InfoShieldOptions options;
-  options.fine.use_naive_costing = naive;
-  InfoShield shield(options);
-  InfoShieldResult result = shield.Run(corpus);
+  const InfoShieldOptions options;
+  const InfoShieldResult result =
+      naive ? reference::RunNaivePipeline(options, corpus)
+            : InfoShield(options).Run(corpus);
   RunOutcome out;
   out.json = ResultToJson(result, corpus);
   out.fine_seconds = result.fine_seconds;

@@ -28,6 +28,7 @@
 #include "coarse/coarse_clustering.h"
 #include "core/fine_clustering.h"
 #include "datagen/twitter_gen.h"
+#include "fine_reference.h"
 #include "graph/union_find.h"
 #include "mdl/cost_model.h"
 #include "msa/pairwise.h"
@@ -182,7 +183,7 @@ void ConsensusSearchBench(benchmark::State& state, bool exhaustive) {
   options.exhaustive_consensus_search = exhaustive;
   FineClustering fine(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fine.ConsensusSearch(graph, docs, cm));
+    benchmark::DoNotOptimize(fine.SearchConsensus(graph, docs, cm).consensus);
   }
 }
 void BM_ConsensusSearchDichotomous(benchmark::State& state) {
@@ -194,10 +195,11 @@ void BM_ConsensusSearchExhaustive(benchmark::State& state) {
 BENCHMARK(BM_ConsensusSearchDichotomous)->RangeMultiplier(2)->Range(4, 64);
 BENCHMARK(BM_ConsensusSearchExhaustive)->RangeMultiplier(2)->Range(4, 64);
 
-// Fine stage on one skewed cluster: the default cached + incremental
-// hot path vs. the naive escape hatch (re-align per probe, re-encode
-// per slot candidate). The gap between the two is the optimization's
-// tracked win; bench_fine wires the same comparison into CI.
+// Fine stage on one skewed cluster: the production cached + incremental
+// hot path vs. the naive reference in tests/fine_reference.h (re-align
+// per probe, re-encode per slot candidate, one sequential loop). The gap
+// between the two is the optimization's tracked win; bench_fine wires
+// the same comparison into CI.
 void FineStageBench(benchmark::State& state, bool naive) {
   const size_t num_docs = static_cast<size_t>(state.range(0));
   Rng rng(10);
@@ -217,11 +219,14 @@ void FineStageBench(benchmark::State& state, bool naive) {
     ids.push_back(static_cast<DocId>(i));
   }
   const CostModel cm = CostModel::ForVocabulary(corpus.vocab());
-  FineOptions options;
-  options.use_naive_costing = naive;
-  FineClustering fine(options);
+  const FineOptions options;
+  const FineClustering fine(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fine.RunOnCluster(corpus, ids, cm));
+    benchmark::DoNotOptimize(
+        naive ? reference::ReferenceRunOnCluster(
+                    options, reference::Costing::kNaive, corpus, ids, cm,
+                    nullptr)
+              : fine.RunOnCluster(corpus, ids, cm));
   }
   state.SetComplexityN(static_cast<int64_t>(num_docs));
 }

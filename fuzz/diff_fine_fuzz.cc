@@ -1,11 +1,13 @@
 // Harness (e1): differential fuzzing of the fine stage.
 //
-// The incremental fine stage (consensus-identity cache, alignment reuse,
-// GapCostProfile slot probes) exists only as an optimization of the
-// naive reference (FineOptions::use_naive_costing). The contract is
-// byte-identical output. This harness decodes fuzz bytes into a small
-// synthetic corpus, runs the full pipeline both ways, and asserts the
-// canonical JSON serializations match byte for byte; the end-to-end
+// The production fine stage (consensus-identity cache, alignment reuse,
+// GapCostProfile slot probes, the claim/fit/decide fan-out) exists only
+// as an optimization of the naive reference kept in
+// tests/fine_reference.h. The contract is byte-identical output. This
+// harness decodes fuzz bytes into a small synthetic corpus, runs
+// InfoShield::Run and the reference pipeline (the same coarse stage,
+// then the sequential loop with naive costing), and asserts the
+// canonical JSON serializations match byte for byte; the production
 // result must also pass the deep invariant auditors.
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "core/infoshield.h"
+#include "fine_reference.h"
 #include "fuzz_util.h"
 #include "io/json_writer.h"
 #include "synthetic_corpus.h"
@@ -38,7 +41,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   InfoShieldOptions options;
   const uint8_t option_bits = in.TakeByte();
-  // Both runs get the same knobs; only the costing path differs.
+  // Both runs get the same knobs; only the fine stage differs.
   options.fine.exhaustive_consensus_search = (option_bits & 1) != 0;
   options.fine.msa_backend =
       (option_bits & 2) != 0 ? MsaBackend::kProfile : MsaBackend::kPoa;
@@ -48,13 +51,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       infoshield::fuzz::DecodeSyntheticTexts(in, /*max_docs=*/12);
   const Corpus corpus = infoshield::fuzz::BuildSyntheticCorpus(texts);
 
-  options.fine.use_naive_costing = false;
   const InfoShieldResult optimized = InfoShield(options).Run(corpus);
   Status audit = ValidateInfoShieldResult(optimized, corpus);
   CHECK(audit.ok()) << audit.ToString();
 
-  options.fine.use_naive_costing = true;
-  const InfoShieldResult naive = InfoShield(options).Run(corpus);
+  const InfoShieldResult naive =
+      infoshield::reference::RunNaivePipeline(options, corpus);
 
   const std::string optimized_json = ResultToJson(optimized, corpus);
   const std::string naive_json = ResultToJson(naive, corpus);

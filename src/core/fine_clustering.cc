@@ -56,32 +56,6 @@ double TotalCost(size_t num_docs, const std::vector<double>& template_costs,
 
 }  // namespace
 
-double FineClustering::CandidateDataCost(
-    const std::vector<TokenId>& consensus,
-    const std::vector<std::vector<TokenId>>& docs,
-    const CostModel& cost_model, FineStageStats* stats) const {
-  // Evaluate the candidate the way it would actually be used: slots
-  // detected, model cost included. Scoring data cost alone (a literal
-  // reading of Eq. 6) systematically prefers bloated consensuses —
-  // every variant branch kept as constants, paid for with cheap
-  // deletions — which then fail the MDL acceptance test; the paper's
-  // stated goal is total-cost minimization, so the search target is
-  // C(T_i) + C(D_i | T_i) after slot detection.
-  Template tmpl(consensus);
-  std::vector<Alignment> alignments;
-  alignments.reserve(docs.size());
-  for (const auto& doc : docs) {
-    alignments.push_back(NeedlemanWunsch(tmpl.tokens, doc, options_.scoring));
-  }
-  if (stats != nullptr) stats->alignments_computed += docs.size();
-  DetectSlotsNaive(tmpl, alignments, cost_model, stats);
-  double cost = cost_model.TemplateCost(tmpl.length(), tmpl.num_slots());
-  for (const Alignment& a : alignments) {
-    cost += EncodeDocumentWithAlignment(tmpl, a, cost_model).base_cost;
-  }
-  return cost;
-}
-
 std::pair<int64_t, double> FineClustering::ArgminThreshold(
     int64_t h_max, const std::function<double(int64_t)>& eval) const {
   std::unordered_map<int64_t, double> cache;
@@ -136,10 +110,6 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensus(
   auto consensus_at = [&alignment](size_t h) {
     return alignment.ConsensusAtThreshold(h);
   };
-  if (options_.use_naive_costing) {
-    return SearchConsensusNaive(consensus_at, candidate_docs, cost_model,
-                                stats);
-  }
   return SearchConsensusFrom(consensus_at, candidate_docs, cost_model, stats,
                              nullptr, nullptr);
 }
@@ -214,11 +184,11 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensusFrom(
       const std::vector<GapCostProfile>& profiles =
           index == FineMemoSet::kNone ? own_profiles : memo->profiles[index];
       std::vector<double> base_costs;
-      DetectSlotsIncremental(evaluated.tmpl, profiles, cm, stats,
-                             &base_costs);
-      // Same accumulation order as CandidateDataCost: template cost
-      // first, then per-document bases — floating-point addition is not
-      // associative, and the naive path must match bit for bit.
+      DetectSlots(evaluated.tmpl, profiles, cm, stats, &base_costs);
+      // Template cost first, then per-document bases, as the naive
+      // reference (tests/fine_reference.h) accumulates them —
+      // floating-point addition is not associative, and the two must
+      // match bit for bit.
       evaluated.cost = cm.TemplateCost(evaluated.tmpl.length(),
                                        evaluated.tmpl.num_slots());
       for (double base : base_costs) evaluated.cost += base;
@@ -274,43 +244,6 @@ FineClustering::ConsensusChoice FineClustering::SearchConsensusFrom(
   return choice;
 }
 
-FineClustering::ConsensusChoice FineClustering::SearchConsensusNaive(
-    const std::function<std::vector<TokenId>(size_t)>& consensus_at,
-    const std::vector<std::vector<TokenId>>& docs, const CostModel& cm,
-    FineStageStats* stats) const {
-  const size_t n = docs.size();
-  CHECK_GE(n, 1u);
-  auto eval = [&](int64_t h) -> double {
-    if (stats != nullptr) ++stats->consensus_probes;
-    return CandidateDataCost(consensus_at(static_cast<size_t>(h)), docs, cm,
-                             stats);
-  };
-  const auto [best_h, best_cost] =
-      ArgminThreshold(static_cast<int64_t>(n) - 1, eval);
-  // Rebuild the winner's template the way the pre-optimization code
-  // did — re-align every member and run full slot detection once more.
-  ConsensusChoice choice;
-  choice.consensus = consensus_at(static_cast<size_t>(best_h));
-  choice.cost = best_cost;
-  choice.tmpl = Template(choice.consensus);
-  choice.alignments.reserve(n);
-  for (const auto& doc : docs) {
-    choice.alignments.push_back(
-        NeedlemanWunsch(choice.tmpl.tokens, doc, options_.scoring));
-  }
-  if (stats != nullptr) stats->alignments_computed += n;
-  DetectSlotsNaive(choice.tmpl, choice.alignments, cm, stats);
-  return choice;
-}
-
-std::vector<TokenId> FineClustering::ConsensusSearch(
-    const MsaAligner& alignment,
-    const std::vector<std::vector<TokenId>>& candidate_docs,
-    const CostModel& cost_model) const {
-  return SearchConsensus(alignment, candidate_docs, cost_model, nullptr)
-      .consensus;
-}
-
 namespace {
 
 bool ByPairDoc(const FineMemoPair& a, const FineMemoPair& b) {
@@ -329,32 +262,8 @@ const FineMemoPair* FindPair(const std::vector<FineMemoPair>* pairs,
 
 // Candidate gaps: positions that accumulate inserted or substituted
 // words across the candidate alignments (Algorithm 3's dictionary P),
-// ascending.
-std::vector<size_t> CandidateGaps(const std::vector<Alignment>& alignments) {
-  std::vector<size_t> candidates;
-  for (const Alignment& a : alignments) {
-    size_t x = 0;
-    for (const AlignOp& op : a.ops) {
-      switch (op.type) {
-        case AlignOpType::kInsert:
-        case AlignOpType::kSubstitute:
-          candidates.push_back(x);
-          break;
-        case AlignOpType::kMatch:
-        case AlignOpType::kDelete:
-          ++x;
-          break;
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  return candidates;
-}
-
-// The same gaps read off the alignments' profiles: a profile lists
-// exactly the gaps its alignment inserted or substituted at.
+// ascending, read off the alignments' profiles: a profile lists exactly
+// the gaps its alignment inserted or substituted at.
 std::vector<size_t> CandidateGaps(const std::vector<GapCostProfile>& profiles) {
   std::vector<size_t> candidates;
   for (const GapCostProfile& p : profiles) {
@@ -370,52 +279,7 @@ std::vector<size_t> CandidateGaps(const std::vector<GapCostProfile>& profiles) {
 
 }  // namespace
 
-void FineClustering::DetectSlots(Template& tmpl,
-                                 const std::vector<Alignment>& alignments,
-                                 const CostModel& cost_model) const {
-  if (options_.use_naive_costing) {
-    DetectSlotsNaive(tmpl, alignments, cost_model, nullptr);
-    return;
-  }
-  std::vector<GapCostProfile> profiles;
-  profiles.reserve(alignments.size());
-  for (const Alignment& a : alignments) {
-    profiles.push_back(BuildGapCostProfile(a));
-  }
-  DetectSlotsIncremental(tmpl, profiles, cost_model, nullptr, nullptr);
-}
-
-void FineClustering::DetectSlotsNaive(Template& tmpl,
-                                      const std::vector<Alignment>& alignments,
-                                      const CostModel& cost_model,
-                                      FineStageStats* stats) const {
-  const std::vector<size_t> candidates = CandidateGaps(alignments);
-  if (stats != nullptr) stats->slot_candidates_evaluated += candidates.size();
-
-  auto data_cost = [&]() {
-    double cost = 0.0;
-    for (const Alignment& a : alignments) {
-      cost += EncodeDocumentWithAlignment(tmpl, a, cost_model).base_cost;
-    }
-    return cost;
-  };
-  auto model_cost = [&]() {
-    return cost_model.TemplateCost(tmpl.length(), tmpl.num_slots());
-  };
-
-  double current = data_cost() + model_cost();
-  for (size_t gap : candidates) {
-    tmpl.SetSlotAtGap(gap, true);
-    double with_slot = data_cost() + model_cost();
-    if (with_slot < current) {
-      current = with_slot;
-    } else {
-      tmpl.SetSlotAtGap(gap, false);
-    }
-  }
-}
-
-void FineClustering::DetectSlotsIncremental(
+void FineClustering::DetectSlots(
     Template& tmpl, const std::vector<GapCostProfile>& profiles,
     const CostModel& cost_model, FineStageStats* stats,
     std::vector<double>* final_base_costs) const {
@@ -428,8 +292,8 @@ void FineClustering::DetectSlotsIncremental(
   if (stats != nullptr) stats->slot_candidates_evaluated += candidates.size();
 
   std::vector<size_t> enabled = tmpl.SlotGaps();
-  // Matches the naive path's accumulation exactly: per-document bases
-  // summed from zero in document order, then the model cost added.
+  // Matches the naive reference's accumulation exactly: per-document
+  // bases summed from zero in document order, then the model cost added.
   auto total_cost = [&](const std::vector<size_t>& slot_gaps) {
     double data = 0.0;
     for (const GapCostProfile& p : profiles) {
@@ -630,11 +494,8 @@ FineClustering::GroupFit FineClustering::Fit(const Corpus& corpus,
   // --- Consensus Search (Algorithm 2) + Slot Detection (Algorithm 3) ---
   // The winning probe already aligned every member and detected slots;
   // the search hands all of it back, so nothing is recomputed.
-  ConsensusChoice choice =
-      options_.use_naive_costing
-          ? SearchConsensusNaive(consensus_at, member_docs, cm, &fit.stats)
-          : SearchConsensusFrom(consensus_at, member_docs, cm, &fit.stats,
-                                memo, delta);
+  ConsensusChoice choice = SearchConsensusFrom(
+      consensus_at, member_docs, cm, &fit.stats, memo, delta);
   if (choice.consensus.empty()) return fit;
   fit.tmpl = std::move(choice.tmpl);
   fit.encodings.reserve(choice.alignments.size());
@@ -738,8 +599,6 @@ std::vector<FineResult> FineClustering::RunOnClusters(
     const CostModel& cm,
     const std::vector<std::vector<PhraseHash>>* doc_top_phrases,
     size_t num_threads, FineMemo* memo) const {
-  // The naive escape hatch re-aligns by design.
-  if (options_.use_naive_costing) memo = nullptr;
   // Workers only read the memo; Retain below rewrites it serially.
   const FineMemo* known = memo;
   const size_t num_clusters = clusters.size();

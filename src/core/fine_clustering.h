@@ -63,23 +63,16 @@ struct FineOptions {
   // search of Algorithm 2.
   bool exhaustive_consensus_search = false;
   MsaBackend msa_backend = MsaBackend::kPoa;
-  // Escape hatch: re-align every member per consensus probe and re-encode
-  // every member per candidate slot, exactly as the pre-optimization code
-  // did. Output is byte-identical to the default (cached + incremental)
-  // path — determinism_test enforces it — so this exists only to
-  // cross-check and to measure the win (bench_fine reports both).
-  bool use_naive_costing = false;
 };
 
 // Hot-path counters for one fine-stage run (summed over seeds and
 // candidate sets for RunOnCluster, over clusters by the pipeline).
-// Deliberately not part of the canonical JSON output: the optimized and
-// naive paths must emit byte-identical results while reporting very
-// different counter values.
+// Deliberately not part of the canonical JSON output: the production
+// path and the naive reference in tests/fine_reference.h must emit
+// byte-identical results while reporting very different counter values.
 struct FineStageStats {
   // Full Needleman-Wunsch alignments computed (pool scans + consensus
-  // evaluations + any naive-path re-alignment). Memo hits (FineMemo)
-  // compute none.
+  // evaluations). Memo hits (FineMemo) compute none.
   size_t alignments_computed = 0;
   // Sequences fed into an MSA graph (POA or profile), seeds included: a
   // candidate set's graph adds every member, and with a memo it is built
@@ -91,7 +84,7 @@ struct FineStageStats {
   // threshold — each hit saves one alignment+slot-detection pass over
   // every candidate document.
   size_t consensus_cache_hits = 0;
-  // Candidate slot positions evaluated by DetectSlots.
+  // Candidate slot positions evaluated by slot detection (Algorithm 3).
   size_t slot_candidates_evaluated = 0;
 
   void MergeFrom(const FineStageStats& other);
@@ -160,7 +153,6 @@ class FineClustering {
   // only the alignment and MSA counters in FineResult::stats drop. The
   // memo is read-only while the workers run; each task records its new
   // entries in its own slot, merged on the calling thread afterwards.
-  // use_naive_costing ignores it.
   std::vector<FineResult> RunOnClusters(
       const Corpus& corpus,
       const std::vector<const std::vector<DocId>*>& clusters,
@@ -170,7 +162,7 @@ class FineClustering {
 
   const FineOptions& options() const { return options_; }
 
-  // --- Exposed sub-steps (tested independently) ---
+  // --- Exposed sub-step (tested independently) ---
 
   // Everything the winning consensus-search probe already computed, so
   // the caller never re-aligns or re-detects slots for the winner.
@@ -196,19 +188,6 @@ class FineClustering {
       const MsaAligner& alignment,
       const std::vector<std::vector<TokenId>>& candidate_docs,
       const CostModel& cost_model, FineStageStats* stats = nullptr) const;
-
-  // Algorithm 2: returns the consensus token sequence minimizing
-  // C(Di | Sel(A, h)) over thresholds h in [0, |Di|-1].
-  std::vector<TokenId> ConsensusSearch(
-      const MsaAligner& alignment,
-      const std::vector<std::vector<TokenId>>& candidate_docs,
-      const CostModel& cost_model) const;
-
-  // Algorithm 3: adds slots to `tmpl` (in place) wherever they lower the
-  // combined model+data cost; `alignments` are the candidates' alignments
-  // against tmpl.tokens and are not invalidated by slot changes.
-  void DetectSlots(Template& tmpl, const std::vector<Alignment>& alignments,
-                   const CostModel& cost_model) const;
 
  private:
   // Algorithm 4 runs as three steps (DESIGN.md §10). A seed claims its
@@ -277,36 +256,16 @@ class FineClustering {
       const std::vector<std::vector<TokenId>>& candidate_docs,
       const CostModel& cost_model, FineStageStats* stats,
       const FineMemoSet* memo, FineMemoSet* delta) const;
-  ConsensusChoice SearchConsensusNaive(
-      const std::function<std::vector<TokenId>(size_t)>& consensus_at,
-      const std::vector<std::vector<TokenId>>& candidate_docs,
-      const CostModel& cost_model, FineStageStats* stats) const;
 
-  // Cost of a candidate consensus as it would actually be adopted:
-  // template model cost plus the documents' encoding cost after slot
-  // detection (the lg t term is omitted — constant during the search).
-  // The naive probe path; the default path aligns once per distinct
-  // consensus and probes slots incrementally.
-  double CandidateDataCost(const std::vector<TokenId>& consensus,
-                           const std::vector<std::vector<TokenId>>& docs,
-                           const CostModel& cost_model,
-                           FineStageStats* stats) const;
-
-  // Algorithm 3 via full re-encoding per probe (escape hatch) and via
-  // the GapCostProfile delta algebra over the alignments' profiles
-  // (default). Both mutate `tmpl` identically. The incremental variant
-  // can also report each document's final base encoding cost
-  // (bit-identical to EncodeDocumentWithAlignment(tmpl, ...).base_cost)
-  // for free.
-  void DetectSlotsNaive(Template& tmpl,
-                        const std::vector<Alignment>& alignments,
-                        const CostModel& cost_model,
-                        FineStageStats* stats) const;
-  void DetectSlotsIncremental(Template& tmpl,
-                              const std::vector<GapCostProfile>& profiles,
-                              const CostModel& cost_model,
-                              FineStageStats* stats,
-                              std::vector<double>* final_base_costs) const;
+  // Algorithm 3 via the GapCostProfile delta algebra over the
+  // alignments' profiles: adds slots to `tmpl` (in place) wherever they
+  // lower the combined model+data cost. It also reports each document's
+  // final base encoding cost (bit-identical to
+  // EncodeDocumentWithAlignment(tmpl, ...).base_cost) for free.
+  void DetectSlots(Template& tmpl,
+                   const std::vector<GapCostProfile>& profiles,
+                   const CostModel& cost_model, FineStageStats* stats,
+                   std::vector<double>* final_base_costs) const;
 
   FineOptions options_;
 };

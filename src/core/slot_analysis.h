@@ -42,7 +42,8 @@ namespace infoshield {
 // integers as EncodeDocumentWithAlignment, so feeding them to
 // CostModel::AlignmentCostBase yields bit-identical doubles (same
 // function, same inputs, same slot order). DESIGN.md §10 derives the
-// algebra; determinism_test cross-checks it against the naive path.
+// algebra; determinism_test cross-checks it against the naive reference
+// in tests/fine_reference.h.
 struct GapCostProfile {
   // Insert/substitute edits attributed to one gap.
   struct GapEdits {

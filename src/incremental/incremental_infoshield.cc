@@ -28,6 +28,10 @@ IncrementalInfoShield::IncrementalInfoShield(
 // analyzer: hot
 Result<IngestStats> IncrementalInfoShield::IngestBatch(
     const std::vector<std::string>& texts) {
+  if (options_.coarse.backend != CoarseBackend::kTfidfGraph) {
+    return Status::InvalidArgument(
+        "IncrementalInfoShield supports only the tf-idf coarse backend");
+  }
   IngestStats stats;
   stats.total_docs = corpus_.size();
   stats.generation = generation_;

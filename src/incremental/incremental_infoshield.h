@@ -2,13 +2,14 @@
 // documents into a live InfoShield model without re-running the whole
 // pipeline, while staying byte-identical to a fresh batch run.
 //
-// The batch pipeline is the oracle, in the use_naive_costing tradition:
-// after ANY sequence of IngestBatch calls, ResultToJson(result(),
-// corpus()) must byte-match a fresh InfoShield::Run over the
-// concatenated corpus (incremental_test, the
-// diff_incremental fuzz harness, and bench_incremental all enforce
-// this). That contract is achievable because every stage is either
-// additive or cheap to replay:
+// The batch pipeline is the oracle, as the naive fine reference
+// (tests/fine_reference.h) is for the fine stage: after ANY sequence of
+// IngestBatch calls, ResultToJson(result(), corpus()) must byte-match a
+// fresh InfoShield::Run over the concatenated corpus (incremental_test,
+// the diff_incremental fuzz harness, and bench_incremental all enforce
+// this). The engine accepts only the tf-idf coarse backend. That
+// contract is achievable because every stage is either additive or
+// cheap to replay:
 //
 //   df table    — document frequency is a commutative integer sum, so a
 //                 batch's df run adds into the engine's every-phrase run
@@ -118,9 +119,12 @@ class IncrementalInfoShield {
 
   // Appends `texts` to the corpus and brings result() up to date, paying
   // alignment work only where the batch changed a claim or a candidate
-  // set. Returns
-  // ResourceExhausted (corpus unchanged) when the batch would overflow
-  // the DocId space. An empty batch is a no-op returning zeroed stats.
+  // set. Returns InvalidArgument (corpus unchanged) unless
+  // options().coarse.backend is kTfidfGraph: the engine maintains only
+  // the tf-idf graph, so any other backend would break the byte-identity
+  // contract above. Returns ResourceExhausted (corpus unchanged) when the
+  // batch would overflow the DocId space. An empty batch is a no-op
+  // returning zeroed stats.
   Result<IngestStats> IngestBatch(const std::vector<std::string>& texts);
 
   // The model over everything ingested so far — byte-identical (via

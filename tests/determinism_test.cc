@@ -15,6 +15,7 @@
 #include "coarse_reference.h"
 #include "core/infoshield.h"
 #include "datagen/trafficking_gen.h"
+#include "fine_reference.h"
 #include "io/json_writer.h"
 
 namespace infoshield {
@@ -39,11 +40,9 @@ std::string RunToJson(const Corpus& corpus, InfoShieldOptions options) {
 }
 
 std::string RunToJson(const Corpus& corpus, size_t num_threads,
-                      bool naive_costing = false,
                       CoarseBackend backend = CoarseBackend::kTfidfGraph) {
   InfoShieldOptions options;
   options.num_threads = num_threads;
-  options.fine.use_naive_costing = naive_costing;
   options.coarse.backend = backend;
   return RunToJson(corpus, options);
 }
@@ -67,14 +66,19 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeOutput) {
 
 TEST(DeterminismTest, NaiveCostingIsByteIdenticalToOptimized) {
   // The fine-stage optimizations (consensus-identity caching, alignment
-  // reuse, incremental slot costing) are required to be exact: the
-  // escape hatch re-derives everything the slow way and must render to
-  // the same bytes, at every thread count.
+  // reuse, incremental slot costing, the claim/fit/decide fan-out) are
+  // required to be exact: the naive reference in fine_reference.h
+  // re-derives everything the slow way, one cluster at a time, and must
+  // render to the same bytes, with the coarse stage at every thread
+  // count.
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string optimized = RunToJson(data.corpus, /*num_threads=*/1);
   for (size_t threads : {1u, 4u, 8u}) {
+    InfoShieldOptions options;
+    options.num_threads = threads;
     EXPECT_EQ(optimized,
-              RunToJson(data.corpus, threads, /*naive_costing=*/true))
+              ResultToJson(reference::RunNaivePipeline(options, data.corpus),
+                           data.corpus))
         << "naive costing diverged at num_threads=" << threads;
   }
 }
@@ -138,13 +142,11 @@ TEST(DeterminismTest, MinhashLshBackendIsByteIdenticalAcrossThreads) {
   // renders to the same bytes.
   LabeledAds data = MakeCorpus(/*seed=*/42);
   const std::string serial = RunToJson(data.corpus, /*num_threads=*/1,
-                                       /*naive_costing=*/false,
                                        CoarseBackend::kMinhashLsh);
   ASSERT_FALSE(serial.empty());
   for (size_t threads : {4u, 8u}) {
-    EXPECT_EQ(serial, RunToJson(data.corpus, threads,
-                                /*naive_costing=*/false,
-                                CoarseBackend::kMinhashLsh))
+    EXPECT_EQ(serial,
+              RunToJson(data.corpus, threads, CoarseBackend::kMinhashLsh))
         << "LSH coarse backend diverged at num_threads=" << threads;
   }
 }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -13,6 +10,7 @@
 #include "coarse/coarse_clustering.h"
 #include "core/fine_memo.h"
 #include "datagen/trafficking_gen.h"
+#include "fine_reference.h"
 #include "util/random.h"
 
 namespace infoshield {
@@ -272,10 +270,9 @@ TEST(FineClusteringTest, NaiveCostingMatchesOptimizedExactly) {
   Corpus c = MixedCluster(&ids);
   CostModel cm = CostModel::ForVocabulary(c.vocab());
 
-  FineOptions naive_opts;
-  naive_opts.use_naive_costing = true;
   FineResult fast = FineClustering(FineOptions{}).RunOnCluster(c, ids, cm);
-  FineResult slow = FineClustering(naive_opts).RunOnCluster(c, ids, cm);
+  FineResult slow = reference::ReferenceRunOnCluster(
+      FineOptions{}, reference::Costing::kNaive, c, ids, cm, nullptr);
 
   // Bitwise-equal costs, identical structure.
   ASSERT_EQ(fast.templates.size(), slow.templates.size());
@@ -322,8 +319,15 @@ TEST(FineClusteringTest, SearchConsensusReturnsWinnerEvaluation) {
   FineClustering::ConsensusChoice choice =
       fine.SearchConsensus(graph, docs, cm, &stats);
 
-  // Same winner as the narrow public API.
-  EXPECT_EQ(choice.consensus, fine.ConsensusSearch(graph, docs, cm));
+  // Same winner, slots and cost bits as the naive search.
+  const FineClustering::ConsensusChoice naive =
+      reference::SearchConsensusNaive(
+          fine.options(),
+          [&graph](size_t h) { return graph.ConsensusAtThreshold(h); }, docs,
+          cm, nullptr);
+  EXPECT_EQ(choice.consensus, naive.consensus);
+  EXPECT_EQ(choice.tmpl.slot_at_gap, naive.tmpl.slot_at_gap);
+  EXPECT_EQ(choice.cost, naive.cost);
   EXPECT_EQ(choice.tmpl.tokens, choice.consensus);
   ASSERT_EQ(choice.alignments.size(), docs.size());
   for (size_t i = 0; i < docs.size(); ++i) {
@@ -366,17 +370,22 @@ TEST(FineClusteringTest, ConsensusCacheHitsOnNearDuplicates) {
 TEST(FineClusteringTest, ExhaustiveMatchesDichotomousOnVariedCluster) {
   // The original equivalence test used identical documents; with probe
   // caching in place, re-check it on a cluster whose cost curve actually
-  // varies with the threshold, in both costing modes.
+  // varies with the threshold, in production and in the naive reference.
   std::vector<DocId> ids;
   Corpus c = MixedCluster(&ids);
   CostModel cm = CostModel::ForVocabulary(c.vocab());
   for (bool naive : {false, true}) {
+    auto run = [&](const FineOptions& options) {
+      return naive ? reference::ReferenceRunOnCluster(
+                         options, reference::Costing::kNaive, c, ids, cm,
+                         nullptr)
+                   : FineClustering(options).RunOnCluster(c, ids, cm);
+    };
     FineOptions dicho;
-    dicho.use_naive_costing = naive;
-    FineOptions exhaustive = dicho;
+    FineOptions exhaustive;
     exhaustive.exhaustive_consensus_search = true;
-    FineResult r1 = FineClustering(dicho).RunOnCluster(c, ids, cm);
-    FineResult r2 = FineClustering(exhaustive).RunOnCluster(c, ids, cm);
+    FineResult r1 = run(dicho);
+    FineResult r2 = run(exhaustive);
     ASSERT_EQ(r1.templates.size(), r2.templates.size());
     // Dichotomous search may legitimately probe fewer thresholds, but on
     // this cluster both find the same model.
@@ -389,165 +398,9 @@ TEST(FineClusteringTest, ExhaustiveMatchesDichotomousOnVariedCluster) {
 
 // --- Claim/fit/decide vs the original sequential loop ---
 //
-// ReferenceRunOnCluster is Algorithm 4 as one greedy loop: each seed
-// gathers its pool, admits members, fits a template and takes the MDL
-// decision before the next seed starts. The production path splits that
-// loop into a claim scan, independent per-set fits and an in-order MDL
-// replay, and fans the fits out across clusters; it must agree with this
-// loop field by field, cost bits included.
-
-double ReferenceTotalCost(
-    const CostModel& cm, size_t num_docs,
-    const std::vector<std::pair<size_t, size_t>>& shapes,
-    const std::vector<double>& encoded_base, size_t num_encoded,
-    double noise_token_cost) {
-  double cost = cm.ModelCost(shapes);
-  cost += static_cast<double>(num_docs);
-  cost += noise_token_cost;
-  const double lg_t = Log2Bits(shapes.size());
-  for (double base : encoded_base) cost += base;
-  cost += lg_t * static_cast<double>(num_encoded);
-  return cost;
-}
-
-FineResult ReferenceRunOnCluster(
-    const FineOptions& options, const Corpus& corpus,
-    const std::vector<DocId>& doc_ids, const CostModel& cm,
-    const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
-  const FineClustering fine(options);
-  FineResult result;
-  const size_t num_docs = doc_ids.size();
-  if (num_docs == 0) return result;
-
-  std::unordered_map<PhraseHash, std::vector<DocId>> phrase_to_docs;
-  if (doc_top_phrases != nullptr) {
-    for (DocId d : doc_ids) {
-      for (PhraseHash p : (*doc_top_phrases)[d]) {
-        phrase_to_docs[p].push_back(d);
-      }
-    }
-  }
-  double all_unencoded = 0.0;
-  for (DocId id : doc_ids) {
-    all_unencoded += cm.UnencodedDocCost(corpus.doc(id).length());
-  }
-  result.cost_before =
-      ReferenceTotalCost(cm, num_docs, {}, {}, 0, all_unencoded);
-
-  std::unordered_map<DocId, uint32_t> local_index;
-  for (size_t i = 0; i < doc_ids.size(); ++i) {
-    local_index.emplace(doc_ids[i], static_cast<uint32_t>(i));
-  }
-  std::vector<char> claimed(doc_ids.size(), 0);
-  auto is_claimed = [&](DocId d) { return claimed[local_index.at(d)] != 0; };
-  std::vector<std::pair<size_t, size_t>> shapes;
-  std::vector<double> encoded_base;
-  size_t num_encoded = 0;
-  double pending_token_cost = all_unencoded;
-  double noise_token_cost = 0.0;
-  double best_total = result.cost_before;
-
-  for (size_t cursor = 0; cursor < doc_ids.size(); ++cursor) {
-    const DocId seed = doc_ids[cursor];
-    if (claimed[cursor]) continue;
-    const std::vector<TokenId>& seed_tokens = corpus.doc(seed).tokens;
-
-    std::vector<DocId> pool;
-    if (doc_top_phrases != nullptr) {
-      std::unordered_set<DocId> neighbor_set;
-      for (PhraseHash p : (*doc_top_phrases)[seed]) {
-        auto it = phrase_to_docs.find(p);
-        if (it == phrase_to_docs.end()) continue;
-        for (DocId d : it->second) {
-          if (d != seed && !is_claimed(d)) neighbor_set.insert(d);
-        }
-      }
-      // determinism: unordered gather, sorted before use on the next line.
-      pool.assign(neighbor_set.begin(), neighbor_set.end());
-      std::sort(pool.begin(), pool.end());
-    } else {
-      for (size_t i = cursor + 1; i < doc_ids.size(); ++i) {
-        if (!claimed[i]) pool.push_back(doc_ids[i]);
-      }
-    }
-
-    std::vector<DocId> member_ids{seed};
-    std::vector<std::vector<TokenId>> member_docs{seed_tokens};
-    std::unique_ptr<MsaAligner> graph;
-    switch (options.msa_backend) {
-      case MsaBackend::kPoa:
-        graph = std::make_unique<PoaGraph>(seed_tokens, options.scoring);
-        break;
-      case MsaBackend::kProfile:
-        graph = std::make_unique<ProfileMsa>(seed_tokens, options.scoring);
-        break;
-    }
-    Template seed_template(seed_tokens);
-    result.stats.alignments_computed += pool.size();
-    for (DocId d : pool) {
-      const std::vector<TokenId>& tokens = corpus.doc(d).tokens;
-      DocEncoding enc = EncodeDocument(seed_template, tokens, cm);
-      if (cm.EncodedDocCost(1, enc.summary) <
-          cm.UnencodedDocCost(tokens.size())) {
-        member_ids.push_back(d);
-        member_docs.push_back(tokens);
-        graph->AddSequence(tokens);
-      }
-    }
-
-    double member_unencoded = 0.0;
-    for (DocId d : member_ids) {
-      member_unencoded += cm.UnencodedDocCost(corpus.doc(d).length());
-      claimed[local_index.at(d)] = 1;
-    }
-    pending_token_cost -= member_unencoded;
-    auto reject_as_noise = [&]() {
-      for (DocId d : member_ids) result.noise.push_back(d);
-      noise_token_cost += member_unencoded;
-    };
-    if (member_ids.size() < options.min_template_support) {
-      reject_as_noise();
-      continue;
-    }
-    FineClustering::ConsensusChoice choice =
-        fine.SearchConsensus(*graph, member_docs, cm, &result.stats);
-    if (choice.consensus.empty()) {
-      reject_as_noise();
-      continue;
-    }
-    Template tmpl = std::move(choice.tmpl);
-    std::vector<DocEncoding> encodings;
-    double base_sum = 0.0;
-    for (const Alignment& a : choice.alignments) {
-      encodings.push_back(EncodeDocumentWithAlignment(tmpl, a, cm));
-      base_sum += encodings.back().base_cost;
-    }
-    std::vector<std::pair<size_t, size_t>> new_shapes = shapes;
-    new_shapes.emplace_back(tmpl.length(), tmpl.num_slots());
-    std::vector<double> new_encoded = encoded_base;
-    new_encoded.push_back(base_sum);
-    const double candidate_total = ReferenceTotalCost(
-        cm, num_docs, new_shapes, new_encoded,
-        num_encoded + member_ids.size(),
-        noise_token_cost + pending_token_cost);
-    if (candidate_total < best_total) {
-      best_total = candidate_total;
-      shapes = std::move(new_shapes);
-      encoded_base = std::move(new_encoded);
-      num_encoded += member_ids.size();
-      TemplateCluster cluster;
-      cluster.tmpl = std::move(tmpl);
-      cluster.members = std::move(member_ids);
-      cluster.encodings = std::move(encodings);
-      result.templates.push_back(std::move(cluster));
-    } else {
-      reject_as_noise();
-    }
-  }
-  result.cost_after = best_total;
-  std::sort(result.noise.begin(), result.noise.end());
-  return result;
-}
+// reference::ReferenceRunOnCluster (fine_reference.h) is Algorithm 4 as
+// one greedy loop; the production claim/fit/decide split must agree with
+// it field by field, cost bits included.
 
 uint64_t Bits(double x) {
   uint64_t bits;
@@ -555,16 +408,12 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-// Everything a FineResult reports except the alignment and MSA counters,
-// the only fields a FineMemo changes.
-void ExpectSameFineOutput(const FineResult& want, const FineResult& got) {
+// Everything a FineResult reports except its work counters: the fields
+// the naive reference must reproduce.
+void ExpectSameModel(const FineResult& want, const FineResult& got) {
   EXPECT_EQ(Bits(want.cost_before), Bits(got.cost_before));
   EXPECT_EQ(Bits(want.cost_after), Bits(got.cost_after));
   EXPECT_EQ(want.noise, got.noise);
-  EXPECT_EQ(want.stats.consensus_probes, got.stats.consensus_probes);
-  EXPECT_EQ(want.stats.consensus_cache_hits, got.stats.consensus_cache_hits);
-  EXPECT_EQ(want.stats.slot_candidates_evaluated,
-            got.stats.slot_candidates_evaluated);
   ASSERT_EQ(want.templates.size(), got.templates.size());
   for (size_t t = 0; t < want.templates.size(); ++t) {
     const TemplateCluster& w = want.templates[t];
@@ -594,6 +443,16 @@ void ExpectSameFineOutput(const FineResult& want, const FineResult& got) {
   }
 }
 
+// Everything a FineResult reports except the alignment and MSA counters,
+// the only fields a FineMemo changes.
+void ExpectSameFineOutput(const FineResult& want, const FineResult& got) {
+  ExpectSameModel(want, got);
+  EXPECT_EQ(want.stats.consensus_probes, got.stats.consensus_probes);
+  EXPECT_EQ(want.stats.consensus_cache_hits, got.stats.consensus_cache_hits);
+  EXPECT_EQ(want.stats.slot_candidates_evaluated,
+            got.stats.slot_candidates_evaluated);
+}
+
 void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
   ExpectSameFineOutput(want, got);
   EXPECT_EQ(want.stats.alignments_computed, got.stats.alignments_computed);
@@ -601,25 +460,34 @@ void ExpectSameFineResult(const FineResult& want, const FineResult& got) {
 
 // Runs the reference loop per cluster, then RunOnClusters over all of
 // them at 1/2/3/4/8 threads and RunOnCluster per cluster, comparing each
-// against the reference.
+// against the reference. With the production search in the loop every
+// field must match; with the naive costing, the model and the probe
+// count (the two searches probe the same thresholds).
 void ExpectMatchesReference(
-    const FineOptions& options, const Corpus& corpus,
-    const std::vector<std::vector<DocId>>& clusters,
+    const FineOptions& options, reference::Costing costing,
+    const Corpus& corpus, const std::vector<std::vector<DocId>>& clusters,
     const std::vector<std::vector<PhraseHash>>* doc_top_phrases) {
   const CostModel cm = CostModel::ForVocabulary(corpus.vocab());
   const FineClustering fine(options);
   std::vector<FineResult> want;
   std::vector<const std::vector<DocId>*> cluster_ptrs;
   for (const std::vector<DocId>& c : clusters) {
-    want.push_back(
-        ReferenceRunOnCluster(options, corpus, c, cm, doc_top_phrases));
+    want.push_back(reference::ReferenceRunOnCluster(options, costing, corpus,
+                                                    c, cm, doc_top_phrases));
     cluster_ptrs.push_back(&c);
   }
+  auto expect_same = [costing](const FineResult& w, const FineResult& g) {
+    if (costing == reference::Costing::kProduction) {
+      ExpectSameFineResult(w, g);
+    } else {
+      ExpectSameModel(w, g);
+      EXPECT_EQ(w.stats.consensus_probes, g.stats.consensus_probes);
+    }
+  };
   for (size_t ci = 0; ci < clusters.size(); ++ci) {
     SCOPED_TRACE("RunOnCluster, cluster " + std::to_string(ci));
-    ExpectSameFineResult(
-        want[ci],
-        fine.RunOnCluster(corpus, clusters[ci], cm, doc_top_phrases));
+    expect_same(want[ci],
+                fine.RunOnCluster(corpus, clusters[ci], cm, doc_top_phrases));
   }
   for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     const std::vector<FineResult> got = fine.RunOnClusters(
@@ -628,7 +496,7 @@ void ExpectMatchesReference(
     for (size_t ci = 0; ci < clusters.size(); ++ci) {
       SCOPED_TRACE("threads " + std::to_string(threads) + ", cluster " +
                    std::to_string(ci));
-      ExpectSameFineResult(want[ci], got[ci]);
+      expect_same(want[ci], got[ci]);
     }
   }
 }
@@ -670,29 +538,32 @@ TEST(FineClusteringReferenceTest, GiantComponentMatchesAtEveryThreadCount) {
   const CostModel cm = CostModel::ForVocabulary(g.data.corpus.vocab());
   size_t templates = 0;
   for (const std::vector<DocId>& c : g.coarse.clusters) {
-    templates += ReferenceRunOnCluster(FineOptions{}, g.data.corpus, c, cm,
-                                       &g.coarse.doc_top_phrases)
+    templates += reference::ReferenceRunOnCluster(
+                     FineOptions{}, reference::Costing::kProduction,
+                     g.data.corpus, c, cm, &g.coarse.doc_top_phrases)
                      .templates.size();
   }
   ASSERT_GT(templates, 1u);
-  ExpectMatchesReference(FineOptions{}, g.data.corpus, g.coarse.clusters,
+  ExpectMatchesReference(FineOptions{}, reference::Costing::kProduction,
+                         g.data.corpus, g.coarse.clusters,
                          &g.coarse.doc_top_phrases);
 }
 
 TEST(FineClusteringReferenceTest, FullScanWithoutTopPhrasesMatches) {
   GiantComponentCorpus g = MakeGiantComponentCorpus();
-  ExpectMatchesReference(FineOptions{}, g.data.corpus, g.coarse.clusters,
-                         nullptr);
+  ExpectMatchesReference(FineOptions{}, reference::Costing::kProduction,
+                         g.data.corpus, g.coarse.clusters, nullptr);
 }
 
 TEST(FineClusteringReferenceTest, MinTemplateSupportThreeMatches) {
   GiantComponentCorpus g = MakeGiantComponentCorpus();
   FineOptions options;
   options.min_template_support = 3;
-  ExpectMatchesReference(options, g.data.corpus, g.coarse.clusters,
+  ExpectMatchesReference(options, reference::Costing::kProduction,
+                         g.data.corpus, g.coarse.clusters,
                          &g.coarse.doc_top_phrases);
-  ExpectMatchesReference(options, g.data.corpus, g.coarse.clusters,
-                         nullptr);
+  ExpectMatchesReference(options, reference::Costing::kProduction,
+                         g.data.corpus, g.coarse.clusters, nullptr);
 }
 
 TEST(FineClusteringReferenceTest, EmptyAndOneDocumentClustersMatch) {
@@ -701,8 +572,10 @@ TEST(FineClusteringReferenceTest, EmptyAndOneDocumentClustersMatch) {
   std::vector<std::vector<PhraseHash>> phrases(c.size());
   for (DocId d : ids) phrases[d] = {0x1234ULL};
   const std::vector<std::vector<DocId>> clusters = {{}, {ids[0]}, ids, {}};
-  ExpectMatchesReference(FineOptions{}, c, clusters, &phrases);
-  ExpectMatchesReference(FineOptions{}, c, clusters, nullptr);
+  ExpectMatchesReference(FineOptions{}, reference::Costing::kProduction, c,
+                         clusters, &phrases);
+  ExpectMatchesReference(FineOptions{}, reference::Costing::kProduction, c,
+                         clusters, nullptr);
   const CostModel cm = CostModel::ForVocabulary(c.vocab());
   EXPECT_TRUE(FineClustering()
                   .RunOnClusters(c, {}, cm, nullptr, /*num_threads=*/4,
@@ -713,12 +586,14 @@ TEST(FineClusteringReferenceTest, EmptyAndOneDocumentClustersMatch) {
 TEST(FineClusteringReferenceTest, NaiveCostingAndProfileBackendMatch) {
   std::vector<DocId> ids;
   Corpus c = MixedCluster(&ids);
-  FineOptions naive;
-  naive.use_naive_costing = true;
   FineOptions profile;
   profile.msa_backend = MsaBackend::kProfile;
-  ExpectMatchesReference(naive, c, {ids}, nullptr);
-  ExpectMatchesReference(profile, c, {ids}, nullptr);
+  ExpectMatchesReference(FineOptions{}, reference::Costing::kNaive, c, {ids},
+                         nullptr);
+  ExpectMatchesReference(profile, reference::Costing::kNaive, c, {ids},
+                         nullptr);
+  ExpectMatchesReference(profile, reference::Costing::kProduction, c, {ids},
+                         nullptr);
 }
 
 TEST(FineClusteringTest, TopPhraseOrderDoesNotReachResult) {
@@ -761,7 +636,7 @@ TEST(FineClusteringTest, TopPhraseOrderDoesNotReachResult) {
   }
 }
 
-TEST(FineClusteringTest, DetectSlotsPublicApi) {
+TEST(FineClusteringTest, SlotDetectionMarksTheVaryingGap) {
   Corpus c;
   c.Add("one two soap four five");
   c.Add("one two chair four five");
@@ -769,16 +644,28 @@ TEST(FineClusteringTest, DetectSlotsPublicApi) {
   CostModel cm(10.0);
   // Consensus is the shared backbone.
   Vocabulary& v = const_cast<Corpus&>(c).mutable_vocab();
-  Template tmpl(std::vector<TokenId>{v.Find("one"), v.Find("two"),
-                                     v.Find("four"), v.Find("five")});
+  const std::vector<TokenId> backbone = {v.Find("one"), v.Find("two"),
+                                         v.Find("four"), v.Find("five")};
+  std::vector<std::vector<TokenId>> docs;
+  for (const Document& d : c.docs()) docs.push_back(d.tokens);
+
+  // The naive reference on the backbone's alignments.
+  Template tmpl(backbone);
   std::vector<Alignment> alignments;
-  for (const Document& d : c.docs()) {
-    alignments.push_back(NeedlemanWunsch(tmpl.tokens, d.tokens));
+  for (const std::vector<TokenId>& d : docs) {
+    alignments.push_back(NeedlemanWunsch(tmpl.tokens, d));
   }
-  FineClustering fine;
-  fine.DetectSlots(tmpl, alignments, cm);
+  reference::DetectSlotsNaive(tmpl, alignments, cm, nullptr);
   EXPECT_TRUE(tmpl.HasSlotAtGap(2));
   EXPECT_EQ(tmpl.num_slots(), 1u);
+
+  // The production search picks the backbone and the same slot.
+  PoaGraph graph(docs[0]);
+  for (size_t i = 1; i < docs.size(); ++i) graph.AddSequence(docs[i]);
+  const FineClustering::ConsensusChoice choice =
+      FineClustering().SearchConsensus(graph, docs, cm);
+  EXPECT_EQ(choice.tmpl.tokens, backbone);
+  EXPECT_EQ(choice.tmpl.slot_at_gap, tmpl.slot_at_gap);
 }
 
 // --- FineMemo: the lg V-independent work kept across runs ---
@@ -999,21 +886,6 @@ TEST(FineMemoTest, KeepsOnlyWhatTheLastRunUsed) {
   EXPECT_GT(AlignmentWork(RunAt(fine, g.data.corpus, second, kFlipLgA,
                                 &g.coarse.doc_top_phrases, 1, &memo)),
             0u);
-}
-
-TEST(FineMemoTest, NaiveCostingIgnoresTheMemo) {
-  std::vector<DocId> ids;
-  Corpus c = MixedCluster(&ids);
-  FineOptions naive;
-  naive.use_naive_costing = true;
-  const FineClustering fine(naive);
-  FineMemo memo;
-  const std::vector<std::vector<DocId>> clusters = {ids};
-  const std::vector<FineResult> with =
-      RunAt(fine, c, clusters, 11.0, nullptr, 1, &memo);
-  EXPECT_TRUE(memo.empty());
-  ExpectSameFineResult(RunAt(fine, c, clusters, 11.0, nullptr, 1, nullptr)[0],
-                       with[0]);
 }
 
 TEST(FineMemoTest, ReplayedAlignmentEqualsNeedlemanWunsch) {

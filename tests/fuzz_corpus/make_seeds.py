@@ -174,6 +174,34 @@ write("diff_fine", "profile_backend", synthetic(0x02, two_families, []))
 write("diff_fine", "exhaustive_search",
       synthetic(0x01, [([2, 4, 6, 8, 10], [[0] * 5, [0] * 5])], noise))
 
+# The seeds above are too small for any template to pay for itself, so
+# they never reach a slot decision. This one does: one family of five
+# twelve-word documents where only one or two documents edit a given
+# position, so the slot decisions at those gaps are close calls that
+# any perturbation of the slot costing flips. Each mutation byte is
+# followed by the word ids its edit consumes: 0x02 substitutes, 0x10
+# inserts after.
+def edited_family(base, docs):
+    out = bounded(len(base) - 3, 9)
+    for w in base:
+        out += bounded(w, 15)
+    out += bounded(len(docs) - 2, 3)
+    for edits in docs:
+        for i in range(len(base)):
+            mutation, words = edits.get(i, (0x00, []))
+            out += byte(mutation)
+            for word in words:
+                out += bounded(word, 15)
+    return out
+
+write("diff_fine", "marginal_slots",
+      byte(0x00) + bounded(0, 2)
+      + edited_family([15, 6, 2, 3, 8, 7, 0, 2, 7, 7, 9, 3],
+                      [{}, {3: (0x02, [11])},
+                       {3: (0x02, [12]), 10: (0x02, [11])},
+                       {5: (0x10, [4])}, {}])
+      + bounded(0, 3))
+
 write("diff_coarse", "two_families", synthetic(0x00, two_families, noise))
 write("diff_coarse", "unigrams_and_degree_cap",
       synthetic(0x05, two_families, noise))

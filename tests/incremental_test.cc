@@ -94,6 +94,20 @@ TEST(IncrementalTest, EmptyEngineMatchesBatchRunOverEmptyCorpus) {
   EXPECT_EQ(stats->generation, 0u);
 }
 
+TEST(IncrementalTest, RejectsTheMinhashLshBackend) {
+  // The engine keeps only the tf-idf graph; with any other backend it
+  // would silently diverge from the batch oracle, so it refuses.
+  InfoShieldOptions options;
+  options.coarse.backend = CoarseBackend::kMinhashLsh;
+  IncrementalInfoShield engine(options);
+  Result<IngestStats> stats = engine.IngestBatch(GeneratedTexts(/*seed=*/42));
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.corpus().size(), 0u);
+  EXPECT_EQ(engine.generation(), 0u);
+  EXPECT_TRUE(engine.result().templates.empty());
+}
+
 TEST(IncrementalTest, SingleBatchMatchesBatchRun) {
   const std::vector<std::string> texts = GeneratedTexts(/*seed=*/42);
   InfoShieldOptions options;

@@ -89,8 +89,13 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const char separator =
-      flags.GetString("separator") == "tab" ? '\t' : ',';
+  const std::string separator_name = flags.GetString("separator");
+  if (separator_name != "comma" && separator_name != "tab") {
+    std::fprintf(stderr, "error: unknown --separator '%s' (comma | tab)\n",
+                 separator_name.c_str());
+    return 2;
+  }
+  const char separator = separator_name == "tab" ? '\t' : ',';
   Result<Corpus> corpus = LoadCorpusFromCsv(
       flags.GetString("input"), flags.GetString("text-column"), separator);
   if (!corpus.ok()) {
